@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Local CI gate: formatting, lints, tests.
 #
-#   ./ci.sh          # fmt check + clippy -D warnings + tests
+#   ./ci.sh          # fmt check + clippy -D warnings + rustdoc + tests
 #   ./ci.sh --fast   # skip clippy (quick pre-commit loop)
 #
 # Everything runs offline: the external dependencies are vendored
@@ -17,6 +17,9 @@ if [ "${1:-}" != "--fast" ]; then
     echo "==> cargo clippy --workspace --all-targets -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
 fi
+
+echo "==> rustdoc gate: warning-free docs (broken intra-doc links fail CI)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo test -q (tier-1: facade package)"
 cargo test -q
@@ -110,5 +113,8 @@ timeout 300 cargo test -q -p offloadnn-plancache --features offloadnn-telemetry/
 
 echo "==> cargo bench smoke (criterion --test mode)"
 cargo bench --workspace -- --test >/dev/null
+
+echo "==> benchmark gate: admitbench builds and its tests pass against the current public API"
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path admitbench/Cargo.toml
 
 echo "CI green."

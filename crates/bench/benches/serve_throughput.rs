@@ -28,7 +28,7 @@ fn run_once(shards: usize, batch_max: usize, requests: u64) -> u64 {
     };
     let report = loadgen::run(service_config, cfg, &scenario.instance);
     assert!(report.is_conserved(), "bench run lost a request:\n{report}");
-    report.tally.resolved()
+    report.tally.outcomes()
 }
 
 fn bench_serve_throughput(c: &mut Criterion) {

@@ -1,6 +1,7 @@
 //! The gateway proper: the node pool, the submit path with failover and
-//! hedging, and the [`Backend`] implementation that puts the whole
-//! cluster tier behind an `offloadnn-net` frontend.
+//! hedging, the [`Admitter`] implementation that is its only submit
+//! path, and the [`Backend`] control plane that puts the whole cluster
+//! tier behind an `offloadnn-net` frontend.
 //!
 //! # Verdict conservation
 //!
@@ -55,8 +56,7 @@ use offloadnn_core::instance::PathOption;
 use offloadnn_core::task::{Task, TaskId};
 use offloadnn_net::codec::ErrorCode;
 use offloadnn_net::{
-    Backend, ForwardInfo, MemberInfo, MembershipAck, MembershipDecision, NetError, PeerDigest,
-    PendingOutcome, PendingVerdict,
+    Backend, ForwardInfo, MemberInfo, MembershipAck, MembershipDecision, NetError, PeerDigest, PendingVerdict,
 };
 use offloadnn_plancache::{shape_fingerprint, PlanCache, PlanCacheStats, PlanKey};
 use offloadnn_serve::{
@@ -322,10 +322,11 @@ struct PendState {
 }
 
 /// A pending cluster verdict: the gateway-side analogue of
-/// [`offloadnn_serve::Ticket`]. Resolution (including failover retries
-/// and hedging) happens lazily inside [`PendingOutcome::wait`] /
-/// [`PendingOutcome::try_wait`], on the caller's thread.
-pub struct GwPending {
+/// [`offloadnn_serve::Ticket`], handed out type-erased behind an
+/// [`offloadnn_serve::PendingVerdict`]. Resolution (including failover
+/// retries and hedging) happens lazily inside [`VerdictHandle::wait`] /
+/// [`VerdictHandle::poll`], on the caller's thread.
+pub(crate) struct GwPending {
     inner: Arc<GatewayInner>,
     state: Mutex<PendState>,
 }
@@ -777,16 +778,6 @@ impl GwPending {
     }
 }
 
-impl PendingOutcome for GwPending {
-    fn try_wait(&self) -> Option<Outcome> {
-        self.resolve(false, None)
-    }
-
-    fn wait(&self) -> Option<Outcome> {
-        self.resolve(true, None)
-    }
-}
-
 impl VerdictHandle for GwPending {
     fn poll(&self) -> Option<Result<Outcome, VerdictError>> {
         self.resolve(false, None).map(Ok)
@@ -978,26 +969,17 @@ impl Gateway {
         self.inner.draining.load(Ordering::Acquire)
     }
 
-    /// Submits a task to the cluster with the gateway's default
-    /// deadline. See [`Backend::submit`] for the full contract.
-    ///
-    /// # Errors
-    ///
-    /// As [`Backend::submit`].
-    pub fn submit(&self, task: Task, options: Vec<PathOption>) -> Result<GwPending, SubmitError> {
-        self.submit_inner(task, options, None, None)
-    }
-
-    /// The one submit path, for both local submits (`forwarded` `None`)
-    /// and tasks arriving via a protocol-v4 `Forward` frame (`forwarded`
-    /// carries the origin identity, remaining hops and tried-set).
+    /// The one submit path, behind [`Admitter::submit`] for local
+    /// submits (`forwarded` `None`) and [`Backend::forward`] for tasks
+    /// arriving via a protocol-v4 `Forward` frame (`forwarded` carries
+    /// the origin identity, remaining hops and tried-set).
     fn submit_inner(
         &self,
         task: Task,
         options: Vec<PathOption>,
         budget: Option<Duration>,
         forwarded: Option<ForwardInfo>,
-    ) -> Result<GwPending, SubmitError> {
+    ) -> Result<offloadnn_serve::PendingVerdict, SubmitError> {
         if self.is_draining() {
             return Err(SubmitError::Draining);
         }
@@ -1033,37 +1015,19 @@ impl Gateway {
         // traffic keys under the origin gateway's scope epoch.
         let key = self.inner.plan_key(&task, &options, scope);
         let mut preferred = None;
+        let mut done = None;
         if let (Some(cache), Some(key)) = (&self.inner.plan_cache, &key) {
             match cache.lookup(key).map(|c| c.value) {
                 Some(GwPlan::Rejected) => {
                     self.inner.metrics.rejected.inc();
                     self.inner.metrics.latency.record(now.elapsed());
-                    return Ok(GwPending {
-                        inner: Arc::clone(&self.inner),
-                        state: Mutex::new(PendState {
-                            task,
-                            options,
-                            born: now,
-                            deadline: now + budget,
-                            attempts: 0,
-                            tried: Vec::new(),
-                            preferred: None,
-                            key: None,
-                            primary: None,
-                            hedge: None,
-                            hedged: false,
-                            fwd_hops: 0,
-                            origin: None,
-                            tried_peers: Vec::new(),
-                            shed_pending: false,
-                            done: Some(Outcome::Rejected { shard: 0 }),
-                        }),
-                    });
+                    done = Some(Outcome::Rejected { shard: 0 });
                 }
                 Some(GwPlan::Affinity { node }) => preferred = Some(node),
                 None => {}
             }
         }
+        let task_id = task.id;
         let pending = GwPending {
             inner: Arc::clone(&self.inner),
             state: Mutex::new(PendState {
@@ -1082,7 +1046,7 @@ impl Gateway {
                 origin,
                 tried_peers,
                 shed_pending: false,
-                done: None,
+                done,
             }),
         };
         // Launch the first attempt eagerly so tickets pipeline: the
@@ -1091,14 +1055,14 @@ impl Gateway {
         // (all sends fail, or no healthy node) resolves in `wait`.
         {
             let mut st = pending.state.lock().expect("pending state lock poisoned");
-            while st.primary.is_none() && st.attempts < self.inner.config.retry_limit {
+            while st.done.is_none() && st.primary.is_none() && st.attempts < self.inner.config.retry_limit {
                 match pending.launch(&mut st, Instant::now(), false) {
                     Launch::Launched | Launch::NoCandidate => break,
                     Launch::Failed => {}
                 }
             }
         }
-        Ok(pending)
+        Ok(offloadnn_serve::PendingVerdict::new(task_id, Box::new(pending)))
     }
 
     /// Forwards a departure to wherever the task was admitted — a local
@@ -1258,15 +1222,20 @@ impl Drop for Gateway {
 }
 
 impl Backend for Gateway {
-    type Pending = GwPending;
+    fn is_draining(&self) -> bool {
+        Gateway::is_draining(self)
+    }
 
-    fn submit(
-        &self,
-        task: Task,
-        options: Vec<PathOption>,
-        budget: Option<Duration>,
-    ) -> Result<GwPending, SubmitError> {
-        self.submit_inner(task, options, budget, None)
+    fn scale_to(&self, shards: usize) -> Result<ReshardReport, ServeError> {
+        Gateway::scale_to(self, shards)
+    }
+
+    fn announce(&self, addr: SocketAddr, incarnation: u64) -> MembershipAck {
+        Gateway::announce(self, addr, incarnation)
+    }
+
+    fn leave(&self, addr: SocketAddr, incarnation: u64) -> MembershipAck {
+        Gateway::leave(self, addr, incarnation)
     }
 
     fn forward(
@@ -1275,7 +1244,7 @@ impl Backend for Gateway {
         options: Vec<PathOption>,
         budget: Option<Duration>,
         info: ForwardInfo,
-    ) -> Result<GwPending, SubmitError> {
+    ) -> Result<offloadnn_serve::PendingVerdict, SubmitError> {
         self.submit_inner(task, options, budget, Some(info))
     }
 
@@ -1298,34 +1267,6 @@ impl Backend for Gateway {
         })
     }
 
-    fn depart(&self, task: TaskId) {
-        Gateway::depart(self, task);
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        Gateway::metrics(self)
-    }
-
-    fn begin_drain(&self) {
-        Gateway::begin_drain(self);
-    }
-
-    fn is_draining(&self) -> bool {
-        Gateway::is_draining(self)
-    }
-
-    fn scale_to(&self, shards: usize) -> Result<ReshardReport, ServeError> {
-        Gateway::scale_to(self, shards)
-    }
-
-    fn announce(&self, addr: SocketAddr, incarnation: u64) -> MembershipAck {
-        Gateway::announce(self, addr, incarnation)
-    }
-
-    fn leave(&self, addr: SocketAddr, incarnation: u64) -> MembershipAck {
-        Gateway::leave(self, addr, incarnation)
-    }
-
     fn drain(self) -> DrainReport {
         Gateway::drain(self)
     }
@@ -1338,9 +1279,7 @@ impl Admitter for Gateway {
         options: Vec<PathOption>,
         deadline: Option<Duration>,
     ) -> Result<offloadnn_serve::PendingVerdict, SubmitError> {
-        let id = task.id;
-        let pending = self.submit_inner(task, options, deadline, None)?;
-        Ok(offloadnn_serve::PendingVerdict::new(id, Box::new(pending)))
+        self.submit_inner(task, options, deadline, None)
     }
 
     fn depart(&self, task: TaskId) {

@@ -4,10 +4,11 @@
 //! This crate scales the admission service out: a [`Gateway`] owns a
 //! pool of backend serve nodes (each an `offloadnn-net` endpoint
 //! speaking the v3 wire protocol) and presents the whole cluster as a
-//! single admission backend — including over the network, since
-//! [`Gateway`] implements [`offloadnn_net::Backend`] and therefore
-//! slots behind either TCP frontend via
-//! [`offloadnn_net::AnyServer::start_with_backend`].
+//! single admission backend. Its only submit path is the unified
+//! [`offloadnn_serve::Admitter`] trait, and it serves over the network
+//! too: [`Gateway`] implements the [`offloadnn_net::Backend`] control
+//! plane on top of `Admitter` and therefore slots behind either TCP
+//! frontend via [`offloadnn_net::AnyServer::start_with_backend`].
 //!
 //! Five mechanisms, one per module:
 //!
@@ -16,7 +17,7 @@
 //!   (`-weight / ln(u)`, the logarithmic method); the weight is the
 //!   node's reported admission headroom from its latest health
 //!   snapshot. Ejecting a node remaps only the keys it was winning.
-//! * **Health** ([`crate::health`], internal) — a monitor thread probes
+//! * **Health** (the internal `health` module) — a monitor thread probes
 //!   every node each `health_interval` with a Metrics frame
 //!   ([`offloadnn_net::Client::snapshot_timeout`]). `eject_after`
 //!   consecutive misses ejects a node; after `probation` a successful
@@ -52,7 +53,7 @@
 //! use offloadnn_core::scenario::small_scenario;
 //! use offloadnn_gateway::{Gateway, GatewayConfig};
 //! use offloadnn_net::{NetConfig, NetServer};
-//! use offloadnn_serve::ServiceConfig;
+//! use offloadnn_serve::{Admitter, ServiceConfig};
 //!
 //! let scenario = small_scenario(5);
 //! // Three single-node backends...
@@ -71,9 +72,8 @@
 //! // ...one cluster.
 //! let gateway = Gateway::start(&addrs, GatewayConfig::default()).unwrap();
 //! let pending = gateway
-//!     .submit(scenario.instance.tasks[0].clone(), scenario.instance.options[0].clone())
+//!     .submit(scenario.instance.tasks[0].clone(), scenario.instance.options[0].clone(), None)
 //!     .unwrap();
-//! use offloadnn_net::PendingOutcome;
 //! println!("cluster verdict: {:?}", pending.wait());
 //! let report = gateway.drain();
 //! assert!(report.metrics.is_conserved());
@@ -92,5 +92,5 @@ mod peer;
 pub mod router;
 
 pub use config::{FederationConfig, GatewayConfig, GatewayError, HedgeConfig};
-pub use gateway::{ForwardStats, Gateway, GwPending};
+pub use gateway::{ForwardStats, Gateway};
 pub use membership::{AnnounceOutcome, LeaveOutcome, Membership};

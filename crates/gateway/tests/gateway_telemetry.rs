@@ -14,8 +14,8 @@
 use offloadnn_core::scenario::small_scenario;
 use offloadnn_core::task::TaskId;
 use offloadnn_gateway::{Gateway, GatewayConfig};
-use offloadnn_net::{NetConfig, NetServer, PendingOutcome};
-use offloadnn_serve::ServiceConfig;
+use offloadnn_net::{NetConfig, NetServer};
+use offloadnn_serve::{Admitter, ServiceConfig};
 use std::time::Duration;
 
 #[test]
@@ -48,7 +48,7 @@ fn gateway_instruments_follow_the_telemetry_build() {
         let mut task = scenario.instance.tasks[pick].clone();
         task.id = TaskId(u32::try_from(i).unwrap());
         gateway
-            .submit(task, scenario.instance.options[pick].clone())
+            .submit(task, scenario.instance.options[pick].clone(), None)
             .expect("gateway accepts submits")
             .wait()
             .expect("verdict")

@@ -9,8 +9,8 @@
 use offloadnn_core::scenario::small_scenario;
 use offloadnn_core::task::TaskId;
 use offloadnn_gateway::{Gateway, GatewayConfig, HedgeConfig};
-use offloadnn_net::{Backend, NetConfig, NetServer, PendingOutcome};
-use offloadnn_serve::{Outcome, ServiceConfig};
+use offloadnn_net::{NetConfig, NetServer};
+use offloadnn_serve::{Admitter, Outcome, PendingVerdict, ServiceConfig};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -39,8 +39,9 @@ fn hedges_fire_and_duplicates_are_deduplicated() {
     let gateway = Gateway::start(&addrs, config).expect("start gateway");
 
     let mut verdicts = 0u64;
-    let mut window: VecDeque<(TaskId, offloadnn_gateway::GwPending)> = VecDeque::new();
-    let settle = |(task, pending): (TaskId, offloadnn_gateway::GwPending), verdicts: &mut u64| {
+    let mut window: VecDeque<PendingVerdict> = VecDeque::new();
+    let settle = |pending: PendingVerdict, verdicts: &mut u64| {
+        let task = pending.task();
         let outcome = pending.wait().expect("exactly one verdict per submit");
         *verdicts += 1;
         if matches!(outcome, Outcome::Admitted { .. }) {
@@ -55,9 +56,9 @@ fn hedges_fire_and_duplicates_are_deduplicated() {
         // Warm the RTT histograms on a roomy budget first; then drop to
         // a budget the slow nodes can only just meet, arming the hedger.
         let budget = if i < WARMUP { Duration::from_secs(2) } else { Duration::from_millis(60) };
-        let pending = Backend::submit(&gateway, task, scenario.instance.options[pick].clone(), Some(budget))
+        let pending = Admitter::submit(&gateway, task, scenario.instance.options[pick].clone(), Some(budget))
             .expect("gateway accepts submits");
-        window.push_back((TaskId(u32::try_from(i).unwrap()), pending));
+        window.push_back(pending);
         if window.len() >= WINDOW {
             settle(window.pop_front().unwrap(), &mut verdicts);
         }

@@ -20,15 +20,15 @@
 //!    capped backoff)      └─ ...
 //!
 //! event loop: epoll_wait → read nonblocking sockets → decode frames →
-//!             submit to Service → queue CompletionMsg → write replies
+//!             dispatch to the Backend → queue the Reply → write replies
 //!             (partial-write resumption via EPOLLOUT)
-//! completion: blocks redeeming Tickets in FIFO order, encodes response
-//!             frames, hands them back to its loop via the done queue +
-//!             waker
+//! completion: blocks resolving Replies (verdicts, reshards) in FIFO
+//!             order, encodes response frames, hands them back to its
+//!             loop via the done queue + waker
 //! ```
 //!
-//! The completion thread exists because [`PendingOutcome`] redemption
-//! blocks and an event loop must never block. Routing **every** reply of a
+//! The completion thread exists because verdict redemption blocks and an
+//! event loop must never block. Routing **every** reply of a
 //! connection through its loop's FIFO completion channel reproduces the
 //! threaded frontend's per-connection writer-queue ordering exactly:
 //! verdicts flush in submit order, a drain's final metrics snapshot is
@@ -45,12 +45,13 @@
 //! like the threaded server's bounded writer channel. Deadline
 //! propagation, drain-flush, live `Scale` frames and the
 //! incomplete-vs-malformed codec distinction are all inherited from the
-//! same [`Backend`] + [`codec`] layers; the loopback suite runs the same
-//! assertions against either frontend.
+//! same frame dispatcher and [`codec`] layers; the loopback suite runs
+//! the same assertions against either frontend.
 
-use crate::backend::{Backend, PendingOutcome};
+use crate::backend::Backend;
 use crate::backoff::AcceptBackoff;
-use crate::codec::{self, ErrorCode, ErrorResponse, Frame, MetricsResponse, OutcomeResponse, ScaleResponse};
+use crate::codec::{self, ErrorCode, Frame};
+use crate::dispatch::{self, LeaveSlot, Reply, Step};
 use crate::error::NetError;
 use crate::instruments::NetInstruments;
 use crate::server::{reject_over_limit, NetConfig};
@@ -118,22 +119,10 @@ impl ReactorConfig {
     }
 }
 
-/// What an event loop hands its completion thread. FIFO per loop, which
-/// gives each connection the threaded frontend's writer-queue ordering.
-#[allow(clippy::large_enum_variant)] // transient, window-bounded queue
-enum CompletionMsg<P: PendingOutcome> {
-    /// Redeem the ticket (blocking) and reply with the outcome.
-    Verdict { token: u64, request_id: u64, ticket: P },
-    /// Encode an already-built frame.
-    Reply { token: u64, frame: Frame },
-    /// Snapshot the service *at completion time* — i.e. after every
-    /// earlier verdict of this connection resolved — and reply with the
-    /// final metrics frame (the drain acknowledgement).
-    FinalMetrics { token: u64, request_id: u64 },
-    /// Run the (milliseconds-long) reshard off the event loop and reply
-    /// with its result.
-    Scale { token: u64, request_id: u64, shards: u32 },
-}
+/// What an event loop hands its completion thread: one connection's
+/// reply, by token. FIFO per loop, which gives each connection the
+/// threaded frontend's writer-queue ordering.
+type Completion = (u64, Reply);
 
 /// One encoded reply coming back from a completion thread.
 struct Done {
@@ -152,7 +141,7 @@ struct AsyncShared<B: Backend> {
     instruments: Option<NetInstruments>,
     /// Armed by [`AsyncServer::announce_to`]; fired (once) when the
     /// node drains or shuts down, so the gateway deregisters it.
-    leave_notice: Mutex<Option<Arc<crate::backend::LeaveNotice>>>,
+    leave_notice: LeaveSlot,
 }
 
 /// The acceptor's handle to one event loop.
@@ -235,7 +224,7 @@ impl<B: Backend> AsyncServer<B> {
             shutdown: AtomicBool::new(false),
             active: AtomicUsize::new(0),
             instruments: NetInstruments::new(),
-            leave_notice: Mutex::new(None),
+            leave_notice: LeaveSlot::default(),
         });
 
         let mut handles = Vec::with_capacity(reactor.event_loops);
@@ -247,7 +236,7 @@ impl<B: Backend> AsyncServer<B> {
             let waker = Arc::new(Waker::new()?);
             epoll.add(waker.fd(), WAKE_TOKEN, Interest::READABLE)?;
             let (incoming_tx, incoming_rx) = channel::unbounded::<TcpStream>();
-            let (comp_tx, comp_rx) = channel::unbounded::<CompletionMsg<B::Pending>>();
+            let (comp_tx, comp_rx) = channel::unbounded::<Completion>();
             let done = Arc::new(Mutex::new(Vec::<Done>::new()));
 
             completions.push({
@@ -304,8 +293,9 @@ impl<B: Backend> AsyncServer<B> {
         self.local_addr
     }
 
-    /// Point-in-time metrics of the underlying backend.
-    pub fn metrics(&self) -> offloadnn_serve::MetricsSnapshot {
+    /// Point-in-time metrics of the underlying backend (`None` when it
+    /// cannot produce them right now).
+    pub fn metrics(&self) -> Option<offloadnn_serve::MetricsSnapshot> {
         self.shared.service.metrics()
     }
 
@@ -343,11 +333,7 @@ impl<B: Backend> AsyncServer<B> {
     /// Transport errors when the gateway cannot be reached or does not
     /// answer; the announce can simply be retried.
     pub fn announce_to(&self, gateway: SocketAddr) -> Result<codec::MembershipResponse, NetError> {
-        let incarnation = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(1, |d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-            .max(1);
-        self.announce_to_as(gateway, incarnation)
+        self.announce_to_as(gateway, dispatch::wall_clock_incarnation())
     }
 
     /// [`AsyncServer::announce_to`] with an explicit incarnation stamp.
@@ -360,16 +346,13 @@ impl<B: Backend> AsyncServer<B> {
         gateway: SocketAddr,
         incarnation: u64,
     ) -> Result<codec::MembershipResponse, NetError> {
-        let config = crate::backend::membership_client_config();
-        let timeout = crate::backend::MEMBERSHIP_RPC_TIMEOUT;
-        let client = crate::client::Client::connect(gateway, config)?;
-        let addr = self.local_addr.to_string();
-        let reply = client.announce(&addr, incarnation, timeout)?;
-        let notice = Arc::new(crate::backend::LeaveNotice::new(gateway, addr, incarnation, config, timeout));
-        let hook_notice = Arc::clone(&notice);
-        let _ = self.shared.service.on_drain(Box::new(move || hook_notice.fire()));
-        *self.shared.leave_notice.lock().expect("leave notice lock") = Some(notice);
-        Ok(reply)
+        dispatch::announce(
+            &self.shared.service,
+            &self.shared.leave_notice,
+            self.local_addr,
+            gateway,
+            incarnation,
+        )
     }
 
     /// Gracefully stops the frontend: fences the ingress, stops the
@@ -377,12 +360,7 @@ impl<B: Backend> AsyncServer<B> {
     /// its client, joins the fixed thread pool, then drains the
     /// underlying service and returns its final report.
     pub fn shutdown(mut self) -> DrainReport {
-        // Deregister from the gateway (if announced) before fencing, so
-        // the cluster stops routing to this node while its in-flight
-        // work can still resolve.
-        if let Some(notice) = self.shared.leave_notice.lock().expect("leave notice lock").take() {
-            notice.fire();
-        }
+        self.shared.leave_notice.fire();
         self.shared.service.begin_drain();
         self.shared.shutdown.store(true, Ordering::Release);
         // Wake the acceptor out of its blocking accept().
@@ -458,54 +436,16 @@ fn accept_loop<B: Backend>(listener: &TcpListener, shared: &Arc<AsyncShared<B>>,
     }
 }
 
-/// Redeems tickets and encodes replies off the event loop, FIFO.
+/// Resolves replies (verdicts, reshards, final snapshots) and encodes
+/// them off the event loop, FIFO.
 fn completion_loop<B: Backend>(
-    rx: &Receiver<CompletionMsg<B::Pending>>,
+    rx: &Receiver<Completion>,
     shared: &Arc<AsyncShared<B>>,
     done: &Mutex<Vec<Done>>,
     waker: &Waker,
 ) {
-    while let Ok(msg) = rx.recv() {
-        let (token, frame) = match msg {
-            CompletionMsg::Verdict { token, request_id, ticket } => {
-                let frame = match ticket.try_wait().or_else(|| ticket.wait()) {
-                    Some(outcome) => Frame::Outcome(OutcomeResponse { request_id, outcome }),
-                    None => Frame::Error(ErrorResponse {
-                        request_id,
-                        code: ErrorCode::Internal,
-                        message: "worker exited before resolving the request".to_owned(),
-                    }),
-                };
-                (token, frame)
-            }
-            CompletionMsg::Reply { token, frame } => (token, frame),
-            CompletionMsg::FinalMetrics { token, request_id } => (
-                token,
-                Frame::Metrics(MetricsResponse {
-                    request_id,
-                    is_final: true,
-                    metrics: shared.service.metrics(),
-                }),
-            ),
-            CompletionMsg::Scale { token, request_id, shards } => {
-                let frame = match shared.service.scale_to(shards as usize) {
-                    Ok(r) => Frame::Scaled(ScaleResponse {
-                        request_id,
-                        from_shards: r.from_shards as u32,
-                        to_shards: r.to_shards as u32,
-                        migrated: r.migrated,
-                        generation: r.generation,
-                    }),
-                    Err(e) => Frame::Error(ErrorResponse {
-                        request_id,
-                        code: ErrorCode::InvalidScale,
-                        message: e.to_string(),
-                    }),
-                };
-                (token, frame)
-            }
-        };
-        let bytes = codec::encode(&frame);
+    while let Ok((token, reply)) = rx.recv() {
+        let bytes = codec::encode(&reply.resolve(&shared.service, || {}));
         done.lock().expect("done lock").push(Done { token, bytes });
         waker.wake();
     }
@@ -563,7 +503,7 @@ struct EventLoop<B: Backend> {
     epoll: Epoll,
     waker: Arc<Waker>,
     incoming: Receiver<TcpStream>,
-    comp_tx: Sender<CompletionMsg<B::Pending>>,
+    comp_tx: Sender<Completion>,
     done: Arc<Mutex<Vec<Done>>>,
     slots: Vec<Slot>,
     free: Vec<usize>,
@@ -748,16 +688,7 @@ impl<B: Backend> EventLoop<B> {
                 Ok(None) => return, // incomplete: wait for more bytes
                 Err(e) => {
                     event!(Severity::Warn, "net.async", "protocol error, closing: {e}");
-                    let token = token_of(self.slots[idx].gen, idx);
-                    let frame = Frame::Error(ErrorResponse {
-                        request_id: 0,
-                        code: ErrorCode::Malformed,
-                        message: e.to_string(),
-                    });
-                    self.send_completion(idx, CompletionMsg::Reply { token, frame });
-                    let conn = self.slots[idx].conn.as_mut().expect("resolved conn");
-                    conn.aborted = true;
-                    conn.rbuf.clear();
+                    self.abort(idx, dispatch::error_frame(0, ErrorCode::Malformed, e.to_string()));
                     return;
                 }
             }
@@ -766,10 +697,11 @@ impl<B: Backend> EventLoop<B> {
 
     /// Queues a reply on the completion channel, bumping the
     /// connection's pending count.
-    fn send_completion(&mut self, idx: usize, msg: CompletionMsg<B::Pending>) {
+    fn send_completion(&mut self, idx: usize, reply: Reply) {
+        let token = token_of(self.slots[idx].gen, idx);
         let conn = self.slots[idx].conn.as_mut().expect("resolved conn");
         conn.pending += 1;
-        if self.comp_tx.send(msg).is_err() {
+        if self.comp_tx.send((token, reply)).is_err() {
             // Unreachable while the completion thread lives (it outlives
             // the loop); keep accounting sane anyway.
             let conn = self.slots[idx].conn.as_mut().expect("resolved conn");
@@ -778,142 +710,25 @@ impl<B: Backend> EventLoop<B> {
         }
     }
 
-    /// Dispatches one decoded request, mirroring the threaded
-    /// `handle_frame` exactly.
+    /// Dispatches one decoded request. Every reply — a reshard
+    /// included, which takes milliseconds and must not stall every
+    /// connection this loop multiplexes — resolves on the completion
+    /// thread.
     fn dispatch(&mut self, idx: usize, frame: Frame) {
-        let token = token_of(self.slots[idx].gen, idx);
-        match frame {
-            Frame::Submit(req) => {
-                // deadline_us == 0 is the wire encoding of "no client
-                // deadline": the backend applies its own policy default.
-                let budget = (req.deadline_us != 0).then(|| Duration::from_micros(req.deadline_us));
-                let msg = match self.shared.service.submit(req.task, req.options, budget) {
-                    Ok(ticket) => CompletionMsg::Verdict { token, request_id: req.request_id, ticket },
-                    Err(e) => CompletionMsg::Reply {
-                        token,
-                        frame: Frame::Error(ErrorResponse {
-                            request_id: req.request_id,
-                            code: e.into(),
-                            message: e.to_string(),
-                        }),
-                    },
-                };
-                self.send_completion(idx, msg);
-            }
-            Frame::Depart(req) => {
-                // Fire-and-forget, same as the threaded reader thread.
-                self.shared.service.depart(req.task);
-            }
-            Frame::Snapshot(req) => {
-                // The snapshot is taken at dispatch time (threaded
-                // parity); the completion channel only sequences it
-                // behind this connection's earlier replies.
-                let frame = Frame::Metrics(MetricsResponse {
-                    request_id: req.request_id,
-                    is_final: false,
-                    metrics: self.shared.service.metrics(),
-                });
-                self.send_completion(idx, CompletionMsg::Reply { token, frame });
-            }
-            Frame::Drain(req) => {
-                event!(Severity::Info, "net.async", "drain requested (request {})", req.request_id);
-                self.shared.service.begin_drain();
-                self.send_completion(idx, CompletionMsg::FinalMetrics { token, request_id: req.request_id });
-            }
-            Frame::Scale(req) => {
-                event!(
-                    Severity::Info,
-                    "net.async",
-                    "scale to {} shard(s) requested (request {})",
-                    req.shards,
-                    req.request_id
-                );
-                // Runs on the completion thread: a reshard takes
-                // milliseconds and must not stall every connection this
-                // loop is multiplexing.
-                self.send_completion(
-                    idx,
-                    CompletionMsg::Scale { token, request_id: req.request_id, shards: req.shards },
-                );
-            }
-            Frame::Announce(req) => {
-                // Membership bookkeeping is a map update, not a reshard:
-                // cheap enough to run inline like a snapshot.
-                let frame = crate::backend::membership_frame(
-                    &self.shared.service,
-                    req.request_id,
-                    &req.addr,
-                    req.incarnation,
-                    false,
-                );
-                self.send_completion(idx, CompletionMsg::Reply { token, frame });
-            }
-            Frame::Leave(req) => {
-                let frame = crate::backend::membership_frame(
-                    &self.shared.service,
-                    req.request_id,
-                    &req.addr,
-                    req.incarnation,
-                    true,
-                );
-                self.send_completion(idx, CompletionMsg::Reply { token, frame });
-            }
-            Frame::PeerHello(req) => {
-                // A load digest is a couple of atomic reads: cheap enough
-                // to answer inline like a snapshot.
-                let frame = match self.shared.service.peer_load(&req.addr, req.incarnation) {
-                    Some(d) => Frame::PeerLoad(crate::codec::PeerLoadResponse {
-                        request_id: req.request_id,
-                        healthy_nodes: d.healthy_nodes,
-                        remaining_budget: d.remaining_budget,
-                        round_ms_p50: d.round_ms_p50,
-                        epoch: d.epoch,
-                    }),
-                    None => Frame::Error(ErrorResponse {
-                        request_id: req.request_id,
-                        code: ErrorCode::Internal,
-                        message: "backend is not a federation gateway".to_owned(),
-                    }),
-                };
-                self.send_completion(idx, CompletionMsg::Reply { token, frame });
-            }
-            Frame::Forward(req) => {
-                // Submit parity, carrying the origin's *remaining*
-                // deadline and the loop-freedom metadata.
-                let budget = (req.deadline_us != 0).then(|| Duration::from_micros(req.deadline_us));
-                let info =
-                    crate::backend::ForwardInfo { origin: req.origin, tried: req.tried, hops: req.hops };
-                let msg = match self.shared.service.forward(req.task, req.options, budget, info) {
-                    Ok(ticket) => CompletionMsg::Verdict { token, request_id: req.request_id, ticket },
-                    Err(e) => CompletionMsg::Reply {
-                        token,
-                        frame: Frame::Error(ErrorResponse {
-                            request_id: req.request_id,
-                            code: e.into(),
-                            message: e.to_string(),
-                        }),
-                    },
-                };
-                self.send_completion(idx, msg);
-            }
-            // A client must not send response frames.
-            Frame::Outcome(_)
-            | Frame::Metrics(_)
-            | Frame::Scaled(_)
-            | Frame::Membership(_)
-            | Frame::PeerLoad(_)
-            | Frame::Error(_) => {
-                let frame = Frame::Error(ErrorResponse {
-                    request_id: frame.request_id(),
-                    code: ErrorCode::Malformed,
-                    message: format!("unexpected {} frame from client", frame.type_name()),
-                });
-                self.send_completion(idx, CompletionMsg::Reply { token, frame });
-                let conn = self.slots[idx].conn.as_mut().expect("resolved conn");
-                conn.aborted = true;
-                conn.rbuf.clear();
-            }
+        match dispatch::dispatch(&self.shared.service, frame) {
+            Step::Silent => {}
+            Step::Reply(reply) => self.send_completion(idx, reply),
+            Step::Abort(frame) => self.abort(idx, frame),
         }
+    }
+
+    /// Queues a closing error frame and stops parsing: the connection
+    /// closes once everything it is owed has flushed.
+    fn abort(&mut self, idx: usize, frame: Frame) {
+        self.send_completion(idx, Reply::Frame(frame));
+        let conn = self.slots[idx].conn.as_mut().expect("resolved conn");
+        conn.aborted = true;
+        conn.rbuf.clear();
     }
 
     /// Applies one completed reply: append to the write buffer, flush

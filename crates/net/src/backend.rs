@@ -1,32 +1,29 @@
-//! The service surface a TCP frontend serves.
+//! The control plane a TCP frontend serves on top of admission.
 //!
-//! Both frontends ([`crate::server::NetServer`] and
-//! [`crate::async_server::AsyncServer`]) were written against
-//! [`offloadnn_serve::Service`] directly. [`Backend`] extracts the exact
-//! coupling surface they used — submit, depart, metrics, drain fencing,
-//! scale and final drain — so the *same* frontends (and the
-//! [`crate::Frontend`] switch over them) can also serve any other
-//! admission-shaped runtime, e.g. a cluster gateway that fans submits
-//! out to a fleet of serve nodes. `Service` implements the trait with
-//! zero behavioural change; the frontends default their type parameter
-//! to it, so existing call sites compile untouched.
+//! Admission itself — submit, depart, metrics, drain fencing — is the
+//! unified [`offloadnn_serve::Admitter`] trait, the same one every
+//! client-side tier implements. [`Backend`] extends it with exactly what
+//! a *server* additionally needs: the drain flag, live resharding,
+//! membership, federation and the final drain. The frontends
+//! ([`crate::server::NetServer`] and [`crate::async_server::AsyncServer`],
+//! through one shared frame dispatcher) serve any
+//! `Backend` — the in-process [`offloadnn_serve::Service`] by default,
+//! or e.g. a cluster gateway that fans submits out to a fleet of serve
+//! nodes.
 //!
 //! ## Deadline ownership
 //!
 //! The wire protocol ships a Submit's deadline budget as
-//! `deadline_us == 0` for "no client deadline". The frontends used to
-//! translate that into [`offloadnn_serve::ServiceConfig::admission_deadline`]
-//! themselves; with multiple backends the *default* budget is backend
-//! policy, so [`Backend::submit`] takes `Option<Duration>` and each
-//! implementation applies its own default for `None`. `Service` keeps
-//! the exact former behaviour: `None` means its configured admission
-//! deadline, and an explicit budget is clamped to never exceed it.
+//! `deadline_us == 0` for "no client deadline". The frontends hand that
+//! to [`offloadnn_serve::Admitter::submit`] as `None`, and each backend
+//! applies its own policy default; an explicit budget is clamped to
+//! never exceed the backend's policy.
 
 use crate::codec::{MemberInfo, MembershipDecision};
 use offloadnn_core::instance::PathOption;
-use offloadnn_core::task::{Task, TaskId};
+use offloadnn_core::task::Task;
 use offloadnn_serve::{
-    DrainReport, MetricsSnapshot, Outcome, ReshardReport, ServeError, Service, SubmitError, Ticket,
+    Admitter, DrainReport, PendingVerdict, ReshardReport, ServeError, Service, SubmitError,
 };
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -80,66 +77,16 @@ pub struct ForwardInfo {
     pub hops: u8,
 }
 
-/// A handle to one in-flight submission, redeemable for its verdict by
-/// the frontend's writer (threaded) or completion (reactor) thread.
+/// What a TCP frontend needs from the runtime it fronts, beyond
+/// admission.
 ///
-/// `None` from [`PendingOutcome::wait`] means the backend lost the
-/// request without resolving it (e.g. a chaos-killed shard worker); the
-/// frontend answers the client with an `Internal` error frame.
-pub trait PendingOutcome: Send + 'static {
-    /// Returns the verdict if it is already available, without blocking.
-    fn try_wait(&self) -> Option<Outcome>;
-
-    /// Blocks until the verdict arrives (or the backend gives up).
-    fn wait(&self) -> Option<Outcome>;
-}
-
-impl PendingOutcome for Ticket {
-    fn try_wait(&self) -> Option<Outcome> {
-        Ticket::try_wait(self)
-    }
-
-    fn wait(&self) -> Option<Outcome> {
-        Ticket::wait(self)
-    }
-}
-
-/// What a TCP frontend needs from the runtime it fronts.
-///
-/// The methods mirror the wire protocol one-to-one: Submit / Depart /
-/// Snapshot / Drain / Scale frames each dispatch to exactly one of
-/// them. Implementations must be callable from many connection threads
-/// concurrently (`Sync`), and [`Backend::drain`] is called exactly once
-/// after every connection has flushed.
-pub trait Backend: Send + Sync + Sized + 'static {
-    /// The in-flight-submission handle this backend issues.
-    type Pending: PendingOutcome;
-
-    /// Submits an admission request. `budget` is the client's deadline
-    /// budget (`None` = the backend's policy default); the backend may
-    /// tighten but never extend its own policy with it.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError`] for requests refused at ingress (draining, no
-    /// candidate options); these become error frames, not verdicts.
-    fn submit(
-        &self,
-        task: Task,
-        options: Vec<PathOption>,
-        budget: Option<Duration>,
-    ) -> Result<Self::Pending, SubmitError>;
-
-    /// Releases the capacity of an admitted task (fire-and-forget).
-    fn depart(&self, task: TaskId);
-
-    /// Point-in-time metrics.
-    fn metrics(&self) -> MetricsSnapshot;
-
-    /// Fences the ingress: subsequent submits fail with
-    /// [`SubmitError::Draining`] while in-flight requests still resolve.
-    fn begin_drain(&self);
-
+/// Submit / Depart / Snapshot / Drain frames dispatch to the
+/// [`Admitter`] half; Scale / Announce / Leave / Forward / PeerHello
+/// frames to the methods here. Implementations must be callable from
+/// many connection threads concurrently (`Admitter` is `Sync`), and
+/// [`Backend::drain`] is called exactly once after every connection has
+/// flushed.
+pub trait Backend: Admitter + Sized + 'static {
     /// Whether a drain has begun.
     fn is_draining(&self) -> bool;
 
@@ -177,14 +124,14 @@ pub trait Backend: Send + Sync + Sized + 'static {
     /// # Errors
     ///
     /// [`SubmitError`] for requests refused at ingress, exactly as
-    /// [`Backend::submit`].
+    /// [`Admitter::submit`].
     fn forward(
         &self,
         task: Task,
         options: Vec<PathOption>,
         budget: Option<Duration>,
         info: ForwardInfo,
-    ) -> Result<Self::Pending, SubmitError> {
+    ) -> Result<PendingVerdict, SubmitError> {
         let _ = info;
         self.submit(task, options, budget)
     }
@@ -200,7 +147,7 @@ pub trait Backend: Send + Sync + Sized + 'static {
     }
 
     /// Registers a hook to run when this backend's drain begins (either
-    /// fence direction: [`Backend::begin_drain`] or [`Backend::drain`]).
+    /// fence direction: [`Admitter::begin_drain`] or [`Backend::drain`]).
     /// Returns `false` if the backend does not support drain hooks — the
     /// caller must then arrange its own notification. If the drain has
     /// already begun, a supporting backend runs the hook immediately.
@@ -214,118 +161,7 @@ pub trait Backend: Send + Sync + Sized + 'static {
     fn drain(self) -> DrainReport;
 }
 
-/// A pending gateway deregistration, armed by a frontend's
-/// `announce_to` and fired at most once — on drain-hook, shutdown, or
-/// whichever comes first. Firing dials the gateway fail-fast and sends
-/// a [`crate::Frame::Leave`]; errors are swallowed (a gateway that
-/// cannot be reached will notice the departure through its health
-/// probes, exactly as a crash-leave).
-#[derive(Debug)]
-pub struct LeaveNotice {
-    gateway: SocketAddr,
-    addr: String,
-    incarnation: u64,
-    config: crate::client::ClientConfig,
-    timeout: Duration,
-    fired: std::sync::atomic::AtomicBool,
-}
-
-impl LeaveNotice {
-    pub(crate) fn new(
-        gateway: SocketAddr,
-        addr: String,
-        incarnation: u64,
-        config: crate::client::ClientConfig,
-        timeout: Duration,
-    ) -> Self {
-        Self { gateway, addr, incarnation, config, timeout, fired: std::sync::atomic::AtomicBool::new(false) }
-    }
-
-    /// Sends the leave, best-effort, exactly once across every caller.
-    pub fn fire(&self) {
-        if self.fired.swap(true, std::sync::atomic::Ordering::AcqRel) {
-            return;
-        }
-        if let Ok(client) = crate::client::Client::connect(self.gateway, self.config) {
-            let _ = client.leave(&self.addr, self.incarnation, self.timeout);
-        }
-    }
-}
-
-/// How long a frontend waits for the gateway's answer to an announce or
-/// leave before giving up (best-effort either way).
-pub(crate) const MEMBERSHIP_RPC_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// The fail-fast dialing profile for membership traffic: a gateway that
-/// cannot be reached promptly is treated as unreachable, not retried
-/// into — registration is re-attemptable and deregistration is
-/// best-effort.
-pub(crate) fn membership_client_config() -> crate::client::ClientConfig {
-    crate::client::ClientConfig {
-        connect_attempts: 1,
-        connect_timeout: Duration::from_millis(500),
-        ..crate::client::ClientConfig::default()
-    }
-}
-
-/// Shared frontend dispatch for the membership frames: parses the
-/// address, consults the backend, and builds the reply frame. An
-/// unparseable address answers a `Malformed` error frame (the
-/// connection stays open — the envelope itself was valid).
-pub(crate) fn membership_frame<B: Backend>(
-    backend: &B,
-    request_id: u64,
-    addr: &str,
-    incarnation: u64,
-    is_leave: bool,
-) -> crate::Frame {
-    let parsed: Result<SocketAddr, _> = addr.parse();
-    match parsed {
-        Ok(sock) => {
-            let ack =
-                if is_leave { backend.leave(sock, incarnation) } else { backend.announce(sock, incarnation) };
-            crate::Frame::Membership(crate::codec::MembershipResponse {
-                request_id,
-                decision: ack.decision,
-                members: ack.members,
-            })
-        }
-        Err(_) => crate::Frame::Error(crate::codec::ErrorResponse {
-            request_id,
-            code: crate::ErrorCode::Malformed,
-            message: format!("unparseable member address {addr:?}"),
-        }),
-    }
-}
-
 impl Backend for Service {
-    type Pending = Ticket;
-
-    fn submit(
-        &self,
-        task: Task,
-        options: Vec<PathOption>,
-        budget: Option<Duration>,
-    ) -> Result<Ticket, SubmitError> {
-        match budget {
-            // submit_with_deadline clamps to the policy deadline.
-            Some(budget) => self.submit_with_deadline(task, options, budget),
-            None => Service::submit(self, task, options),
-        }
-    }
-
-    fn depart(&self, task: TaskId) {
-        Service::depart(self, task);
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        Service::metrics(self)
-    }
-
-    fn begin_drain(&self) {
-        Service::begin_drain(self);
-    }
-
     fn is_draining(&self) -> bool {
         Service::is_draining(self)
     }

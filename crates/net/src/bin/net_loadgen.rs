@@ -1,8 +1,9 @@
 //! Loopback load generator for the `offloadnn-net` TCP frontend.
 //!
-//! Starts a [`NetServer`] on an ephemeral loopback port, drives it with
-//! N concurrent [`Client`] connections pipelining admission submits,
-//! then drains and cross-checks the end-to-end conservation invariant:
+//! Starts an [`offloadnn_net::NetServer`] on an ephemeral loopback
+//! port, drives it with N concurrent [`Client`] connections pipelining
+//! admission submits, then drains and cross-checks the end-to-end
+//! conservation invariant:
 //!
 //! ```text
 //! offered = outcomes received + refused + transport-errored + lost

@@ -148,8 +148,9 @@ impl<B: Backend> AnyServer<B> {
         }
     }
 
-    /// Point-in-time metrics of the underlying backend.
-    pub fn metrics(&self) -> offloadnn_serve::MetricsSnapshot {
+    /// Point-in-time metrics of the underlying backend (`None` when it
+    /// cannot produce them right now).
+    pub fn metrics(&self) -> Option<offloadnn_serve::MetricsSnapshot> {
         match self {
             Self::Threads(s) => s.metrics(),
             Self::Reactor(s) => s.metrics(),

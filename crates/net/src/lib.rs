@@ -17,11 +17,15 @@
 //!   writer thread per connection) and the epoll-based
 //!   [`async_server::AsyncServer`] (a fixed pool of event loops built
 //!   on `offloadnn-reactor`, multiplexing hundreds of connections onto
-//!   a handful of threads). Both enforce a bounded per-connection
-//!   in-flight window (backpressure propagates through the TCP receive
-//!   buffer, not server memory), a connection-count limit, capped
-//!   backoff on accept errors, and graceful drain that flushes every
-//!   in-flight verdict to its client before closing.
+//!   a handful of threads). Both map request frames onto the backend
+//!   through one shared dispatcher, and both serve any [`Backend`]: the
+//!   unified [`offloadnn_serve::Admitter`] trait plus the server-side
+//!   control plane (resharding, membership, federation, final drain).
+//!   Both enforce a bounded per-connection in-flight window
+//!   (backpressure propagates through the TCP receive buffer, not
+//!   server memory), a connection-count limit, capped backoff on accept
+//!   errors, and graceful drain that flushes every in-flight verdict to
+//!   its client before closing.
 //! * **Client** ([`client`]) — a pipelining client library with
 //!   per-request deadline propagation (the client's budget travels in
 //!   the frame; the server enforces the *tighter* of it and its own
@@ -67,6 +71,7 @@ pub mod backend;
 mod backoff;
 pub mod client;
 pub mod codec;
+mod dispatch;
 pub mod error;
 pub mod frontend;
 mod instruments;
@@ -74,7 +79,7 @@ pub mod server;
 pub mod wire;
 
 pub use async_server::{AsyncServer, ReactorConfig};
-pub use backend::{Backend, ForwardInfo, MembershipAck, PeerDigest, PendingOutcome};
+pub use backend::{Backend, ForwardInfo, MembershipAck, PeerDigest};
 pub use client::{Client, ClientConfig, ClientConfigBuilder, PendingVerdict};
 pub use codec::{
     decode, decode_capped, decode_exact, encode, ErrorCode, ForwardRequest, Frame, MemberInfo, MemberState,

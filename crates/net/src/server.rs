@@ -6,18 +6,18 @@
 //! acceptor thread ──┬── conn-0 reader ── conn-0 writer
 //!                   ├── conn-1 reader ── conn-1 writer
 //!                   └── ...                 │
-//!                        │                  └─ waits Tickets, encodes
+//!                        │                  └─ waits verdicts, encodes
 //!                        └─ decodes frames,    responses, writes
-//!                           submits to Service
+//!                           dispatches them
 //! ```
 //!
 //! One acceptor thread owns the listener. Each accepted connection gets a
-//! *reader* thread (decodes frames, feeds the service) and a *writer*
-//! thread (redeems [`Ticket`]s for verdicts and writes responses). The
-//! channel between them is bounded by [`NetConfig::inflight_window`]: a
-//! client that pipelines more submits than the window simply stops being
-//! read — backpressure propagates through the TCP receive buffer instead
-//! of growing server memory.
+//! *reader* thread (decodes frames and dispatches them to the backend)
+//! and a *writer* thread (redeems pending verdicts and writes
+//! responses). The channel between them is bounded by
+//! [`NetConfig::inflight_window`]: a client that pipelines more submits
+//! than the window simply stops being read — backpressure propagates
+//! through the TCP receive buffer instead of growing server memory.
 //!
 //! ## Drain semantics
 //!
@@ -28,9 +28,10 @@
 //! before the connection closes — the writer thread drains its whole
 //! queue before exiting, so drain never strands an in-flight verdict.
 
-use crate::backend::{Backend, PendingOutcome};
+use crate::backend::Backend;
 use crate::backoff::AcceptBackoff;
-use crate::codec::{self, ErrorCode, ErrorResponse, Frame, MetricsResponse, OutcomeResponse, ScaleResponse};
+use crate::codec::{self, ErrorCode, Frame};
+use crate::dispatch::{self, LeaveSlot, Reply, Step};
 use crate::error::NetError;
 use crate::instruments::NetInstruments;
 use crossbeam::channel::{self, Receiver, Sender};
@@ -96,18 +97,6 @@ impl NetConfig {
     }
 }
 
-/// What a reader queues for its connection's writer thread.
-#[allow(clippy::large_enum_variant)] // transient, bounded queue; see Frame
-enum WriterMsg<P: PendingOutcome> {
-    /// A submitted request: redeem the ticket, send the outcome.
-    Verdict { request_id: u64, ticket: P },
-    /// An already-built response frame.
-    Reply(Frame),
-    /// Snapshot the service *at send time* and reply with a final
-    /// metrics frame (the drain acknowledgement).
-    FinalMetrics { request_id: u64 },
-}
-
 /// State shared by the acceptor and every connection thread.
 struct Shared<B: Backend> {
     service: B,
@@ -118,7 +107,7 @@ struct Shared<B: Backend> {
     instruments: Option<NetInstruments>,
     /// Armed by [`NetServer::announce_to`]; fired (once) when the node
     /// drains or shuts down, so the gateway deregisters it gracefully.
-    leave_notice: Mutex<Option<Arc<crate::backend::LeaveNotice>>>,
+    leave_notice: LeaveSlot,
 }
 
 /// A running TCP frontend over any [`Backend`] (an in-process
@@ -187,7 +176,7 @@ impl<B: Backend> NetServer<B> {
             active: AtomicUsize::new(0),
             conns: Mutex::new(Vec::new()),
             instruments: NetInstruments::new(),
-            leave_notice: Mutex::new(None),
+            leave_notice: LeaveSlot::default(),
         });
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -211,8 +200,9 @@ impl<B: Backend> NetServer<B> {
         self.local_addr
     }
 
-    /// Point-in-time metrics of the underlying backend.
-    pub fn metrics(&self) -> offloadnn_serve::MetricsSnapshot {
+    /// Point-in-time metrics of the underlying backend (`None` when it
+    /// cannot produce them right now).
+    pub fn metrics(&self) -> Option<offloadnn_serve::MetricsSnapshot> {
         self.shared.service.metrics()
     }
 
@@ -253,14 +243,7 @@ impl<B: Backend> NetServer<B> {
     /// Transport errors when the gateway cannot be reached or does not
     /// answer; the announce can simply be retried.
     pub fn announce_to(&self, gateway: SocketAddr) -> Result<codec::MembershipResponse, NetError> {
-        // Startup wall-clock nanoseconds: monotonic across restarts of
-        // the same node (modulo clock regression), which is all the
-        // incarnation ordering needs.
-        let incarnation = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(1, |d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-            .max(1);
-        self.announce_to_as(gateway, incarnation)
+        self.announce_to_as(gateway, dispatch::wall_clock_incarnation())
     }
 
     /// [`NetServer::announce_to`] with an explicit incarnation stamp
@@ -274,20 +257,13 @@ impl<B: Backend> NetServer<B> {
         gateway: SocketAddr,
         incarnation: u64,
     ) -> Result<codec::MembershipResponse, NetError> {
-        let config = crate::backend::membership_client_config();
-        let timeout = crate::backend::MEMBERSHIP_RPC_TIMEOUT;
-        let client = crate::client::Client::connect(gateway, config)?;
-        let addr = self.local_addr.to_string();
-        let reply = client.announce(&addr, incarnation, timeout)?;
-        let notice = Arc::new(crate::backend::LeaveNotice::new(gateway, addr, incarnation, config, timeout));
-        // Preferred path: the backend tells us when its drain begins
-        // (a wire-level Drain frame fences the service without passing
-        // through shutdown()). Fallback either way: shutdown() fires the
-        // stored notice, and firing is idempotent.
-        let hook_notice = Arc::clone(&notice);
-        let _ = self.shared.service.on_drain(Box::new(move || hook_notice.fire()));
-        *self.shared.leave_notice.lock().expect("leave notice lock") = Some(notice);
-        Ok(reply)
+        dispatch::announce(
+            &self.shared.service,
+            &self.shared.leave_notice,
+            self.local_addr,
+            gateway,
+            incarnation,
+        )
     }
 
     /// Gracefully stops the frontend: fences the ingress, wakes and joins
@@ -295,12 +271,7 @@ impl<B: Backend> NetServer<B> {
     /// to its client, joins the connection threads, then drains the
     /// underlying service and returns its final report.
     pub fn shutdown(mut self) -> DrainReport {
-        // Deregister from the gateway (if announced) before fencing, so
-        // the cluster stops routing to this node while its in-flight
-        // work can still resolve.
-        if let Some(notice) = self.shared.leave_notice.lock().expect("leave notice lock").take() {
-            notice.fire();
-        }
+        self.shared.leave_notice.fire();
         self.shared.service.begin_drain();
         self.shared.shutdown.store(true, Ordering::Release);
         // Wake the acceptor out of its blocking accept().
@@ -375,17 +346,13 @@ fn accept_loop<B: Backend>(listener: &TcpListener, shared: &Arc<Shared<B>>) {
 /// Shared by both frontends.
 pub(crate) fn reject_over_limit(mut stream: TcpStream, write_timeout: Duration) {
     let _ = stream.set_write_timeout(Some(write_timeout));
-    let frame = Frame::Error(ErrorResponse {
-        request_id: 0,
-        code: ErrorCode::TooManyConnections,
-        message: "server is at its connection limit".to_owned(),
-    });
+    let frame = dispatch::error_frame(0, ErrorCode::TooManyConnections, "server is at its connection limit");
     let _ = stream.write_all(&codec::encode(&frame));
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// The per-connection reader: decodes frames off the socket and feeds
-/// the service; spawns and finally joins the connection's writer.
+/// The per-connection reader: decodes frames off the socket and
+/// dispatches them; spawns and finally joins the connection's writer.
 fn serve_connection<B: Backend>(conn_id: u64, stream: TcpStream, shared: &Arc<Shared<B>>) {
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(Some(shared.net.read_timeout)).is_err() {
@@ -397,7 +364,7 @@ fn serve_connection<B: Backend>(conn_id: u64, stream: TcpStream, shared: &Arc<Sh
     };
     let _ = write_half.set_write_timeout(Some(shared.net.write_timeout));
 
-    let (tx, rx) = channel::bounded::<WriterMsg<B::Pending>>(shared.net.inflight_window);
+    let (tx, rx) = channel::bounded::<Reply>(shared.net.inflight_window);
     let writer = {
         let shared = Arc::clone(shared);
         std::thread::Builder::new()
@@ -415,7 +382,7 @@ fn serve_connection<B: Backend>(conn_id: u64, stream: TcpStream, shared: &Arc<Sh
     event!(Severity::Info, "net.server", "conn {conn_id}: closed");
 }
 
-fn read_loop<B: Backend>(mut stream: TcpStream, shared: &Arc<Shared<B>>, tx: &Sender<WriterMsg<B::Pending>>) {
+fn read_loop<B: Backend>(mut stream: TcpStream, shared: &Arc<Shared<B>>, tx: &Sender<Reply>) {
     let mut buf: Vec<u8> = Vec::with_capacity(16 * 1024);
     let mut chunk = [0u8; 16 * 1024];
     loop {
@@ -431,11 +398,8 @@ fn read_loop<B: Backend>(mut stream: TcpStream, shared: &Arc<Shared<B>>, tx: &Se
                 Ok(None) => break,
                 Err(e) => {
                     event!(Severity::Warn, "net.server", "protocol error, closing: {e}");
-                    let _ = tx.send(WriterMsg::Reply(Frame::Error(ErrorResponse {
-                        request_id: 0,
-                        code: ErrorCode::Malformed,
-                        message: e.to_string(),
-                    })));
+                    let _ =
+                        tx.send(Reply::Frame(dispatch::error_frame(0, ErrorCode::Malformed, e.to_string())));
                     return;
                 }
             }
@@ -464,182 +428,41 @@ fn read_loop<B: Backend>(mut stream: TcpStream, shared: &Arc<Shared<B>>, tx: &Se
 
 /// Dispatches one decoded request. Returns `false` when the connection
 /// must close.
-fn handle_frame<B: Backend>(
-    frame: Frame,
-    shared: &Arc<Shared<B>>,
-    tx: &Sender<WriterMsg<B::Pending>>,
-) -> bool {
-    match frame {
-        Frame::Submit(req) => {
-            // deadline_us == 0 is the wire encoding of "no client
-            // deadline": the backend applies its own policy default.
-            let budget = (req.deadline_us != 0).then(|| Duration::from_micros(req.deadline_us));
-            let msg = match shared.service.submit(req.task, req.options, budget) {
-                Ok(ticket) => WriterMsg::Verdict { request_id: req.request_id, ticket },
-                Err(e) => WriterMsg::Reply(Frame::Error(ErrorResponse {
-                    request_id: req.request_id,
-                    code: e.into(),
-                    message: e.to_string(),
-                })),
-            };
-            // A full window blocks here: backpressure through the socket.
-            tx.send(msg).is_ok()
+fn handle_frame<B: Backend>(frame: Frame, shared: &Arc<Shared<B>>, tx: &Sender<Reply>) -> bool {
+    match dispatch::dispatch(&shared.service, frame) {
+        Step::Silent => true,
+        // Reshard on the reader thread: this connection's pipelined
+        // frames wait in the TCP buffer while the fleet reshapes
+        // (milliseconds), other connections are untouched.
+        Step::Reply(scale @ Reply::Scale { .. }) => {
+            tx.send(Reply::Frame(scale.resolve(&shared.service, || {}))).is_ok()
         }
-        Frame::Depart(req) => {
-            shared.service.depart(req.task);
-            true
-        }
-        Frame::Snapshot(req) => tx
-            .send(WriterMsg::Reply(Frame::Metrics(MetricsResponse {
-                request_id: req.request_id,
-                is_final: false,
-                metrics: shared.service.metrics(),
-            })))
-            .is_ok(),
-        Frame::Drain(req) => {
-            event!(Severity::Info, "net.server", "drain requested (request {})", req.request_id);
-            shared.service.begin_drain();
-            // Queued behind every verdict already in this connection's
-            // window, so the snapshot it carries is taken post-flush.
-            tx.send(WriterMsg::FinalMetrics { request_id: req.request_id }).is_ok()
-        }
-        Frame::Scale(req) => {
-            event!(
-                Severity::Info,
-                "net.server",
-                "scale to {} shard(s) requested (request {})",
-                req.shards,
-                req.request_id
-            );
-            // Runs on the reader thread: this connection's pipelined
-            // frames wait in the TCP buffer while the fleet reshapes
-            // (milliseconds), other connections are untouched.
-            let reply = match shared.service.scale_to(req.shards as usize) {
-                Ok(r) => Frame::Scaled(ScaleResponse {
-                    request_id: req.request_id,
-                    from_shards: r.from_shards as u32,
-                    to_shards: r.to_shards as u32,
-                    migrated: r.migrated,
-                    generation: r.generation,
-                }),
-                Err(e) => Frame::Error(ErrorResponse {
-                    request_id: req.request_id,
-                    code: ErrorCode::InvalidScale,
-                    message: e.to_string(),
-                }),
-            };
-            tx.send(WriterMsg::Reply(reply)).is_ok()
-        }
-        Frame::Announce(req) => {
-            let reply = crate::backend::membership_frame(
-                &shared.service,
-                req.request_id,
-                &req.addr,
-                req.incarnation,
-                false,
-            );
-            tx.send(WriterMsg::Reply(reply)).is_ok()
-        }
-        Frame::Leave(req) => {
-            let reply = crate::backend::membership_frame(
-                &shared.service,
-                req.request_id,
-                &req.addr,
-                req.incarnation,
-                true,
-            );
-            tx.send(WriterMsg::Reply(reply)).is_ok()
-        }
-        Frame::PeerHello(req) => {
-            let reply = match shared.service.peer_load(&req.addr, req.incarnation) {
-                Some(d) => Frame::PeerLoad(crate::codec::PeerLoadResponse {
-                    request_id: req.request_id,
-                    healthy_nodes: d.healthy_nodes,
-                    remaining_budget: d.remaining_budget,
-                    round_ms_p50: d.round_ms_p50,
-                    epoch: d.epoch,
-                }),
-                None => Frame::Error(ErrorResponse {
-                    request_id: req.request_id,
-                    code: ErrorCode::Internal,
-                    message: "backend is not a federation gateway".to_owned(),
-                }),
-            };
-            tx.send(WriterMsg::Reply(reply)).is_ok()
-        }
-        Frame::Forward(req) => {
-            // Same shape as Submit, but the budget is the *remaining*
-            // deadline carried from the origin gateway, and the backend
-            // sees the hop/tried metadata for loop-free re-forwarding.
-            let budget = (req.deadline_us != 0).then(|| Duration::from_micros(req.deadline_us));
-            let info = crate::backend::ForwardInfo { origin: req.origin, tried: req.tried, hops: req.hops };
-            let msg = match shared.service.forward(req.task, req.options, budget, info) {
-                Ok(ticket) => WriterMsg::Verdict { request_id: req.request_id, ticket },
-                Err(e) => WriterMsg::Reply(Frame::Error(ErrorResponse {
-                    request_id: req.request_id,
-                    code: e.into(),
-                    message: e.to_string(),
-                })),
-            };
-            tx.send(msg).is_ok()
-        }
-        // A client must not send response frames; treat as protocol abuse.
-        Frame::Outcome(_)
-        | Frame::Metrics(_)
-        | Frame::Scaled(_)
-        | Frame::Membership(_)
-        | Frame::PeerLoad(_)
-        | Frame::Error(_) => {
-            let _ = tx.send(WriterMsg::Reply(Frame::Error(ErrorResponse {
-                request_id: frame.request_id(),
-                code: ErrorCode::Malformed,
-                message: format!("unexpected {} frame from client", frame.type_name()),
-            })));
+        // A full window blocks here: backpressure through the socket.
+        Step::Reply(reply) => tx.send(reply).is_ok(),
+        Step::Abort(frame) => {
+            let _ = tx.send(Reply::Frame(frame));
             false
         }
     }
 }
 
-fn write_loop<B: Backend>(
-    rx: &Receiver<WriterMsg<B::Pending>>,
-    mut stream: TcpStream,
-    shared: &Arc<Shared<B>>,
-) {
+fn write_loop<B: Backend>(rx: &Receiver<Reply>, mut stream: TcpStream, shared: &Arc<Shared<B>>) {
     let mut out: Vec<u8> = Vec::with_capacity(16 * 1024);
     let mut alive = true;
-    while let Ok(msg) = rx.recv() {
-        let frame = match msg {
-            WriterMsg::Verdict { request_id, ticket } => {
-                let outcome = ticket.try_wait().or_else(|| {
-                    // About to block on the verdict: flush what earlier
-                    // requests are owed so the client is not starved by
-                    // head-of-line coalescing.
-                    if alive && !out.is_empty() {
-                        if stream.write_all(&out).is_err() {
-                            alive = false;
-                        }
-                        out.clear();
-                    }
-                    ticket.wait()
-                });
-                match outcome {
-                    Some(outcome) => Frame::Outcome(OutcomeResponse { request_id, outcome }),
-                    None => Frame::Error(ErrorResponse {
-                        request_id,
-                        code: ErrorCode::Internal,
-                        message: "worker exited before resolving the request".to_owned(),
-                    }),
+    while let Ok(reply) = rx.recv() {
+        let frame = reply.resolve(&shared.service, || {
+            // About to block on a verdict: flush what earlier requests
+            // are owed so the client is not starved by head-of-line
+            // coalescing.
+            if alive && !out.is_empty() {
+                if stream.write_all(&out).is_err() {
+                    alive = false;
                 }
+                out.clear();
             }
-            WriterMsg::Reply(frame) => frame,
-            WriterMsg::FinalMetrics { request_id } => Frame::Metrics(MetricsResponse {
-                request_id,
-                is_final: true,
-                metrics: shared.service.metrics(),
-            }),
-        };
+        });
         if !alive {
-            // The socket died: keep redeeming tickets (the service side
+            // The socket died: keep redeeming verdicts (the service side
             // must still quiesce) but stop writing.
             continue;
         }

@@ -14,8 +14,8 @@
 use offloadnn_core::scenario::small_scenario;
 use offloadnn_core::task::TaskId;
 use offloadnn_net::codec::ErrorCode;
-use offloadnn_net::{AnyServer, Client, ClientConfig, Frontend, NetConfig, NetError};
-use offloadnn_serve::{Outcome, ServiceConfig};
+use offloadnn_net::{AnyServer, Client, ClientConfig, Frontend, MembershipDecision, NetConfig, NetError};
+use offloadnn_serve::{Admitter, ChaosConfig, Outcome, ServiceConfig, VerdictError};
 use std::time::Duration;
 
 /// A service tuned for debug-mode CI: tiny batches, short windows.
@@ -192,7 +192,7 @@ fn run_drain_flush(frontend: Frontend) {
     // covers requests already inside the service; a submit still in the
     // socket buffer when the fence lands is refused as Draining instead).
     let ingest_deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while server.metrics().submitted < INFLIGHT {
+    while server.metrics().expect("service metrics are always available").submitted < INFLIGHT {
         assert!(std::time::Instant::now() < ingest_deadline, "server never ingested all submits");
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -386,6 +386,78 @@ fn reshard_under_pipelined_load_conserves() {
 #[test]
 fn reshard_under_pipelined_load_conserves_reactor() {
     run_reshard_under_load(Frontend::Reactor);
+}
+
+/// The dispatch paths a plain serve node answers without a verdict of
+/// its own making: a forward it decides locally, a verdict lost to a
+/// chaos-killed shard worker, and the membership and federation frames
+/// it does not manage. One connection carries all of them, and stays
+/// usable after the lost verdict.
+fn run_plain_node_dispatch(frontend: Frontend) {
+    let (server, protos) = start_server(
+        frontend,
+        ServiceConfig {
+            shards: 1,
+            chaos: ChaosConfig { panic_shard_at_round: Some((0, 2)), slow_solver: Duration::ZERO },
+            ..quick_service()
+        },
+    );
+    let client = Client::connect(server.local_addr(), ClientConfig::default()).expect("connect");
+    let wait = Duration::from_secs(20);
+
+    // Solver round 1: a plain node has no peers, so the forward is an
+    // ordinary local submit that resolves to a verdict.
+    let gateway = "10.0.0.1:7000".to_owned();
+    let forwarded = client
+        .forward(
+            protos[0].0.clone(),
+            protos[0].1.clone(),
+            Some(wait),
+            2,
+            &gateway,
+            std::slice::from_ref(&gateway),
+        )
+        .expect("forward frame written");
+    assert!(forwarded.wait_timeout(wait).is_ok(), "a forward to a plain node is decided locally");
+
+    // Solver round 2 panics the only shard worker: the verdict is lost,
+    // and the frontend answers an Internal error frame in its place.
+    let mut task = protos[1].0.clone();
+    task.id = TaskId(1);
+    let admitter: &dyn Admitter = &client;
+    let lost = admitter.submit(task, protos[1].1.clone(), None).expect("submit frame written").wait();
+    assert!(
+        matches!(lost, Err(VerdictError::Refused(_))),
+        "a lost verdict arrives as an error frame: {lost:?}"
+    );
+
+    // The connection survives: membership frames get Unsupported, a
+    // load-digest request an error frame, a snapshot real metrics.
+    let node = "127.0.0.1:9";
+    let announce = client.announce(node, 1, wait).expect("announce answered");
+    assert_eq!(announce.decision, MembershipDecision::Unsupported);
+    assert!(announce.members.is_empty());
+    let leave = client.leave(node, 1, wait).expect("leave answered");
+    assert_eq!(leave.decision, MembershipDecision::Unsupported);
+    match client.peer_hello(node, 1, wait) {
+        Err(NetError::Server(e)) => assert_eq!(e.code, ErrorCode::Internal),
+        other => panic!("a plain node must refuse a load-digest request, got {other:?}"),
+    }
+    assert_eq!(client.snapshot().expect("snapshot after the lost verdict").submitted, 2);
+
+    client.close();
+    let report = server.shutdown();
+    assert_eq!(report.lost_shards, 1, "the chaos-killed worker is reported");
+}
+
+#[test]
+fn plain_node_dispatch_paths() {
+    run_plain_node_dispatch(Frontend::Threads);
+}
+
+#[test]
+fn plain_node_dispatch_paths_reactor() {
+    run_plain_node_dispatch(Frontend::Reactor);
 }
 
 /// Dialing a dead address retries with backoff and then fails with a

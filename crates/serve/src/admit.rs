@@ -2,14 +2,17 @@
 //!
 //! The codebase grew four near-identical but incompatible submit
 //! surfaces — `Controller::submit` (library), [`crate::Service::submit`]
-//! / `submit_with_deadline` (in-process runtime), `net::Client::submit`
-//! (wire) and `Gateway::submit` (cluster) — and each shipped its own
-//! pending-verdict shape, so every loadgen and harness driver was
-//! welded to one tier. [`Admitter`] is the redesign: a single
+//! and a deadline-taking variant (in-process runtime),
+//! `net::Client::submit` (wire) and `Gateway::submit` (cluster) — and
+//! each shipped its own pending-verdict shape, so every loadgen and
+//! harness driver was welded to one tier. [`Admitter`] is the redesign: a single
 //! object-safe trait (`submit` / `depart` / `metrics` / `begin_drain`)
 //! with a single type-erased [`PendingVerdict`], implemented by
 //! `Service`, `net::Client`, `Gateway` and the federated gateway, so
-//! one driver body exercises every tier behind `&dyn Admitter`.
+//! one driver body exercises every tier behind `&dyn Admitter`. The
+//! server side speaks the same trait: `net::Backend` extends `Admitter`
+//! with the control plane (resharding, membership, federation, final
+//! drain), so a TCP frontend hands its clients exactly these verdicts.
 //!
 //! ## Verdict resolution
 //!
@@ -250,10 +253,8 @@ impl Admitter for Service {
         deadline: Option<Duration>,
     ) -> Result<PendingVerdict, SubmitError> {
         let task_id = task.id;
-        let ticket = match deadline {
-            Some(budget) => self.submit_with_deadline(task, options, budget)?,
-            None => Service::submit(self, task, options)?,
-        };
+        let budget = deadline.unwrap_or(self.config().admission_deadline);
+        let ticket = self.submit_within(task, options, budget)?;
         Ok(PendingVerdict::new(task_id, Box::new(ticket)))
     }
 

@@ -7,8 +7,9 @@
 
 pub mod args;
 
-use crate::admit::{Admitter, PendingVerdict, VerdictError};
+use crate::admit::{Admitter, PendingVerdict};
 use crate::config::ServiceConfig;
+use crate::loadgen::args::WireTally;
 use crate::service::{DrainReport, Outcome, ReshardReport, Service};
 use offloadnn_core::instance::DotInstance;
 use offloadnn_core::task::TaskId;
@@ -114,39 +115,6 @@ impl ShapePool {
     }
 }
 
-/// Verdict tally observed through the tickets (independently of the
-/// service's own metrics, so the two can cross-check each other).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VerdictTally {
-    /// Tickets resolved `Admitted`.
-    pub admitted: u64,
-    /// Tickets resolved `Rejected`.
-    pub rejected: u64,
-    /// Tickets resolved `Shed`.
-    pub shed: u64,
-    /// Tickets resolved `Expired`.
-    pub expired: u64,
-    /// Tickets that never resolved (worker death — always a bug).
-    pub lost: u64,
-}
-
-impl VerdictTally {
-    fn observe(&mut self, verdict: &Result<Outcome, VerdictError>) {
-        match verdict {
-            Ok(Outcome::Admitted { .. }) => self.admitted += 1,
-            Ok(Outcome::Rejected { .. }) => self.rejected += 1,
-            Ok(Outcome::Shed { .. }) => self.shed += 1,
-            Ok(Outcome::Expired { .. }) => self.expired += 1,
-            Err(_) => self.lost += 1,
-        }
-    }
-
-    /// Total resolved tickets.
-    pub fn resolved(&self) -> u64 {
-        self.admitted + self.rejected + self.shed + self.expired
-    }
-}
-
 /// Result of one load-generation run.
 #[derive(Debug, Clone)]
 pub struct LoadgenReport {
@@ -156,8 +124,9 @@ pub struct LoadgenReport {
     pub shards: usize,
     /// Wall-clock duration from first submit to drain completion.
     pub wall: Duration,
-    /// Verdicts observed through tickets.
-    pub tally: VerdictTally,
+    /// Verdicts observed through the pending handles, independently of
+    /// the service's own metrics, so the two can cross-check each other.
+    pub tally: WireTally,
     /// Reshards executed mid-run (empty unless a scale script ran).
     pub reshards: Vec<ReshardReport>,
     /// The service's own final report.
@@ -167,14 +136,15 @@ pub struct LoadgenReport {
 impl LoadgenReport {
     /// Resolved requests per wall-clock second.
     pub fn throughput_hz(&self) -> f64 {
-        self.tally.resolved() as f64 / self.wall.as_secs_f64().max(1e-9)
+        self.tally.outcomes() as f64 / self.wall.as_secs_f64().max(1e-9)
     }
 
     /// Whether the run is fully accounted: the service metrics conserve,
-    /// the ticket tally agrees with them, and no ticket was lost.
+    /// the driver tally agrees with them, and no request ended in an
+    /// error instead of a verdict.
     pub fn is_conserved(&self) -> bool {
         let m = &self.drain.metrics;
-        self.tally.lost == 0
+        self.tally.errors() == 0
             && m.is_conserved()
             && m.submitted == self.config.requests
             && m.admitted == self.tally.admitted
@@ -321,7 +291,7 @@ pub fn run_scripted(
     // concrete `Service` is consulted solely for the management plane
     // (scale script, final drain).
     let admitter: &dyn Admitter = &service;
-    let mut tally = VerdictTally::default();
+    let mut tally = WireTally::default();
     let mut pending: VecDeque<PendingVerdict> = VecDeque::new();
     let mut active: VecDeque<TaskId> = VecDeque::new();
     let started = Instant::now();
@@ -425,7 +395,7 @@ mod tests {
         let report = run(service_config, cfg, &s.instance);
         assert!(report.is_conserved(), "{report}");
         assert!(report.drain.within_budgets(), "{report}");
-        assert_eq!(report.tally.resolved(), 300);
+        assert_eq!(report.tally.outcomes(), 300);
         assert!(report.tally.admitted > 0, "some capacity must be granted: {report}");
     }
 
@@ -508,6 +478,6 @@ mod tests {
         assert_eq!(report.reshards[0].to_shards, 8);
         assert_eq!(report.reshards[2].generation, 3);
         assert_eq!(report.drain.metrics.reshards, 3);
-        assert_eq!(report.tally.resolved(), 400);
+        assert_eq!(report.tally.outcomes(), 400);
     }
 }

@@ -309,7 +309,9 @@ impl Service {
     /// Submits an admission request, returning a [`Ticket`] for the
     /// verdict. Never blocks: if the target shard's queue is full the
     /// request is shed immediately and the ticket resolves to
-    /// [`Outcome::Shed`].
+    /// [`Outcome::Shed`]. The request gets the configured
+    /// [`ServiceConfig::admission_deadline`]; a caller passes a tighter
+    /// budget through [`crate::admit::Admitter::submit`].
     ///
     /// # Errors
     ///
@@ -317,31 +319,19 @@ impl Service {
     /// request is not counted), [`SubmitError::NoOptions`] for a request
     /// with no candidate paths (nothing to solve over).
     pub fn submit(&self, task: Task, options: Vec<PathOption>) -> Result<Ticket, SubmitError> {
-        self.submit_with_deadline(task, options, self.config.admission_deadline)
+        self.submit_within(task, options, self.config.admission_deadline)
     }
 
-    /// Like [`Service::submit`], but with an explicit per-request
-    /// admission-deadline budget (e.g. a client-side deadline propagated
-    /// over the network). The effective deadline is the *tighter* of
-    /// `deadline_budget` and the service-wide
-    /// [`ServiceConfig::admission_deadline`]: a caller can shrink its
-    /// admission window but never extend it past the service policy.
-    ///
-    /// **Deprecated spelling** — prefer the unified admission trait:
-    /// [`crate::admit::Admitter::submit`] with `Some(deadline_budget)`
-    /// expresses the same request on every tier (service, wire client,
-    /// gateway) instead of this service-only method. Kept (not removed)
-    /// because the [`Admitter`](crate::admit::Admitter) implementation
-    /// and the network backend route through it.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Service::submit`].
-    pub fn submit_with_deadline(
+    /// The one submit path. The effective admission deadline is the
+    /// *tighter* of `budget` and [`ServiceConfig::admission_deadline`]: a
+    /// caller can shrink its admission window but never extend it past
+    /// the service policy. Callers pass a budget through
+    /// [`crate::admit::Admitter::submit`].
+    pub(crate) fn submit_within(
         &self,
         task: Task,
         options: Vec<PathOption>,
-        deadline_budget: Duration,
+        budget: Duration,
     ) -> Result<Ticket, SubmitError> {
         let _ingress = span!("serve.ingress");
         if self.draining.load(Ordering::Acquire) {
@@ -364,7 +354,7 @@ impl Service {
             task,
             options,
             enqueued_at: now,
-            deadline: now + deadline_budget.min(self.config.admission_deadline),
+            deadline: now + budget.min(self.config.admission_deadline),
             responder,
         };
         match routing.senders[shard].try_send(ShardMsg::Request(request)) {

@@ -81,8 +81,8 @@ proptest! {
             shards, requests, queue_capacity, batch_max, window_us,
             deadline_us, shed_watermark, max_active, seed,
         });
-        prop_assert_eq!(report.tally.lost, 0);
-        prop_assert_eq!(report.tally.resolved(), requests);
+        prop_assert_eq!(report.tally.errors(), 0);
+        prop_assert_eq!(report.tally.outcomes(), requests);
         prop_assert!(report.is_conserved(), "conservation violated:\n{}", report);
     }
 

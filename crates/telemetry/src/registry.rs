@@ -122,7 +122,7 @@ impl Default for Registry {
 }
 
 /// Point-in-time copy of a [`Registry`], ready for export (see the
-/// [`crate::export`] module: JSON-lines via
+/// crate's `export` module: JSON-lines via
 /// [`RegistrySnapshot::to_jsonl`], human-readable table via `Display`).
 #[derive(Debug, Clone)]
 pub struct RegistrySnapshot {
