@@ -37,16 +37,17 @@ for seed in 1 424242 "$(awk 'BEGIN{srand();print int(rand()*65536)}')"; do
 done
 
 echo "==> reshard gate: live 4->8->2 reshard over TCP under sustained load"
-timeout 300 cargo run -q --release -p offloadnn-net --bin net_loadgen -- \
-    --requests 8000 --clients 4 --shards 4 --scale-script "2000:8,5000:2" >/dev/null
+timeout 300 cargo run -q --release -p offloadnn-bench --bin loadgen -- \
+    --tier net --requests 8000 --clients 4 --window 128 --shards 4 --scale-script "2000:8,5000:2" >/dev/null
 
 echo "==> reactor gate: live 4->8->2 reshard through the epoll frontend"
-timeout 300 cargo run -q --release -p offloadnn-net --bin net_loadgen -- \
-    --frontend reactor --requests 8000 --clients 4 --shards 4 --scale-script "2000:8,5000:2" >/dev/null
+timeout 300 cargo run -q --release -p offloadnn-bench --bin loadgen -- \
+    --tier net --frontend reactor --requests 8000 --clients 4 --window 128 --shards 4 \
+    --scale-script "2000:8,5000:2" >/dev/null
 
 echo "==> reactor gate: 512 concurrent connections on the fixed-size event-loop pool"
-timeout 300 cargo run -q --release -p offloadnn-net --bin net_loadgen -- \
-    --frontend reactor --requests 5120 --clients 512 --window 4 --shards 2 --ues 3 >/dev/null
+timeout 300 cargo run -q --release -p offloadnn-bench --bin loadgen -- \
+    --tier net --frontend reactor --requests 5120 --clients 512 --window 4 --shards 2 --ues 3 >/dev/null
 
 echo "==> gateway gate: deterministic kill-one-node failover harness on fixed + random seeds"
 for seed in 42 31337 "$(awk 'BEGIN{srand();print int(rand()*65536)}')"; do
@@ -55,12 +56,14 @@ for seed in 42 31337 "$(awk 'BEGIN{srand();print int(rand()*65536)}')"; do
 done
 
 echo "==> gateway gate: live 3-node loopback cluster, one node killed mid-run"
-timeout 300 cargo run -q --release -p offloadnn-gateway --bin gateway_loadgen -- \
-    --nodes 3 --requests 3000 --clients 4 --kill-node-at 1200 >/dev/null
+timeout 300 cargo run -q --release -p offloadnn-bench --bin loadgen -- \
+    --tier gateway --nodes 3 --requests 3000 --clients 4 --window 64 --shards 2 --ues 4 \
+    --kill-node-at 1200 >/dev/null
 
 echo "==> gateway gate: hedged requests through the reactor frontend"
-timeout 300 cargo run -q --release -p offloadnn-gateway --bin gateway_loadgen -- \
-    --frontend reactor --nodes 2 --requests 2000 --hedge --deadline-ms 40 >/dev/null
+timeout 300 cargo run -q --release -p offloadnn-bench --bin loadgen -- \
+    --tier gateway --frontend reactor --nodes 2 --requests 2000 --clients 4 --window 64 --shards 2 \
+    --ues 4 --hedge --deadline-ms 40 >/dev/null
 
 echo "==> discovery gate: deterministic membership-churn harness on fixed + random seeds"
 for seed in 42 31337 "$(awk 'BEGIN{srand();print int(rand()*65536)}')"; do
@@ -69,8 +72,9 @@ for seed in 42 31337 "$(awk 'BEGIN{srand();print int(rand()*65536)}')"; do
 done
 
 echo "==> discovery gate: live hot-join + graceful leave under load"
-timeout 300 cargo run -q --release -p offloadnn-gateway --bin gateway_loadgen -- \
-    --nodes 2 --requests 3000 --clients 4 --join-node-at 600 --leave-node-at 1800 >/dev/null
+timeout 300 cargo run -q --release -p offloadnn-bench --bin loadgen -- \
+    --tier gateway --nodes 2 --requests 3000 --clients 4 --window 64 --shards 2 --ues 4 \
+    --join-node-at 600 --leave-node-at 1800 >/dev/null
 
 echo "==> federation gate: deterministic two-cluster overflow harness on fixed + random seeds"
 for seed in 42 31337 "$(awk 'BEGIN{srand();print int(rand()*65536)}')"; do
@@ -79,8 +83,9 @@ for seed in 42 31337 "$(awk 'BEGIN{srand();print int(rand()*65536)}')"; do
 done
 
 echo "==> federation gate: live two-gateway overflow forwarding over the wire"
-timeout 300 cargo run -q --release -p offloadnn-gateway --bin gateway_loadgen -- \
-    --nodes 1 --shards 1 --queue-capacity 8 --requests 2000 --clients 4 --peer >/dev/null
+timeout 300 cargo run -q --release -p offloadnn-bench --bin loadgen -- \
+    --tier gateway --nodes 1 --shards 1 --queue-capacity 8 --requests 2000 --clients 4 --window 64 \
+    --ues 4 --peer >/dev/null
 
 echo "==> admitter gate: the same workload conserves through every tier behind the unified API"
 timeout 300 cargo test -q -p offloadnn-gateway --test admitter_conservation
@@ -93,12 +98,14 @@ done
 timeout 300 cargo test -q -p offloadnn-serve --test plancache_staleness
 
 echo "==> plancache gate: Zipf loadgen hit-rate + solve-path speedup with conservation intact"
-# The large scenario with per-request rounds is where the solver cost
-# dominates; measured speedup is 1.3-1.5x, gated at 1.15x with a 0.70
-# hit-rate floor. The binary exits non-zero on any conservation breach.
-timeout 600 cargo run -q --release -p offloadnn-serve --bin serve_loadgen -- \
-    --requests 2000 --scenario large --batch-max 1 --shape-skew 1.2 --shape-pool 32 \
-    --seed 7 --plan-cache true --compare-baseline true \
+# The large scenario with per-request rounds, one driver submitting the
+# whole stream without waiting (window = requests). The speedup gate is
+# the median of 5 alternating cached/uncached pairs, gated at 1.15x with
+# a 0.70 hit-rate floor. The binary exits non-zero on any conservation
+# breach.
+timeout 600 cargo run -q --release -p offloadnn-bench --bin loadgen -- \
+    --tier service --requests 2000 --clients 1 --window 2000 --shards 4 --scenario large --batch-max 1 \
+    --shape-skew 1.2 --shape-pool 32 --seed 7 --plan-cache --compare-baseline \
     --min-hit-rate 0.70 --min-speedup 1.15 >/dev/null
 
 echo "==> telemetry overhead gate: workspace builds and tier-1 passes with telemetry compiled out"

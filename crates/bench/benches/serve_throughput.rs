@@ -5,9 +5,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use offloadnn_core::scenario::small_scenario;
-use offloadnn_radio::ArrivalProcess;
-use offloadnn_serve::{loadgen, LoadgenConfig, ServiceConfig};
+use offloadnn_serve::loadgen::args::{drive, ledger_violations, DriveConfig, VERDICT_TIMEOUT};
+use offloadnn_serve::{Service, ServiceConfig};
 use std::hint::black_box;
+use std::sync::atomic::AtomicU64;
 use std::time::Duration;
 
 fn run_once(shards: usize, batch_max: usize, requests: u64) -> u64 {
@@ -18,16 +19,24 @@ fn run_once(shards: usize, batch_max: usize, requests: u64) -> u64 {
         batch_window: Duration::from_micros(200),
         ..ServiceConfig::default()
     };
-    let cfg = LoadgenConfig {
+    let service = Service::start(service_config, &scenario.instance).expect("service start");
+    let protos: Vec<_> =
+        scenario.instance.tasks.iter().cloned().zip(scenario.instance.options.iter().cloned()).collect();
+    let cfg = DriveConfig {
         requests,
-        process: ArrivalProcess::Poisson { rate_hz: 50_000.0 },
+        driver: 0,
+        first_id: 0,
         seed: 7,
+        window: 64,
         max_active: 32,
-        time_scale: 0.0,
-        ..LoadgenConfig::default()
+        deadline: None,
+        verdict_timeout: VERDICT_TIMEOUT,
+        snapshot_every: 0,
     };
-    let report = loadgen::run(service_config, cfg, &scenario.instance);
-    assert!(report.is_conserved(), "bench run lost a request:\n{report}");
+    let report = drive(&service, &cfg, &protos, None, &AtomicU64::new(0));
+    let drain = service.drain();
+    let violations = ledger_violations(requests, &report.tally, &drain.metrics, false);
+    assert!(violations.is_empty(), "bench run lost a request: {violations:?}");
     report.tally.outcomes()
 }
 

@@ -1,7 +1,7 @@
 //! Per-phase latency breakdown of an instrumented end-to-end run.
 //!
-//! Drives the sharded admission service with the closed-loop load
-//! generator (populating the `solver.*` and `serve.*` phases), replays a
+//! Drives the sharded admission service through the shared driver loop
+//! (populating the `solver.*` and `serve.*` phases), replays a
 //! short Colosseum-style emulation (populating `emu.step`), and prints
 //! the global telemetry registry: one latency histogram per phase —
 //! clique build, tree descent, convex allocation, ingress, batch
@@ -22,12 +22,14 @@
 //! ```
 
 use offloadnn_core::heuristic::OffloadnnSolver;
+use offloadnn_core::instance::DotInstance;
 use offloadnn_core::scenario::small_scenario;
 use offloadnn_emu::colosseum::{validate, ColosseumConfig};
 use offloadnn_plancache::PlanCacheConfig;
-use offloadnn_radio::ArrivalProcess;
-use offloadnn_serve::{loadgen, LoadgenConfig, LoadgenReport, ServiceConfig};
+use offloadnn_serve::loadgen::args::{drive, ledger_violations, DriveConfig, WireTally, VERDICT_TIMEOUT};
+use offloadnn_serve::{DrainReport, Service, ServiceConfig, ShapePool};
 use std::process::ExitCode;
+use std::sync::atomic::AtomicU64;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "\
@@ -86,25 +88,53 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// One closed-loop service run through the shared driver loop.
+struct LoadRun {
+    tally: WireTally,
+    drain: DrainReport,
+    wall: Duration,
+    conserved: bool,
+}
+
+impl LoadRun {
+    fn run(config: ServiceConfig, args: &Args, shapes: Option<&ShapePool>, template: &DotInstance) -> Self {
+        let service = Service::start(config, template).expect("service config is valid");
+        let protos: Vec<_> = template.tasks.iter().cloned().zip(template.options.iter().cloned()).collect();
+        let cfg = DriveConfig {
+            requests: args.requests,
+            driver: 0,
+            first_id: 0,
+            seed: args.seed,
+            window: 64,
+            max_active: 64,
+            deadline: None,
+            verdict_timeout: VERDICT_TIMEOUT,
+            snapshot_every: 0,
+        };
+        let started = Instant::now();
+        let tally = drive(&service, &cfg, &protos, shapes, &AtomicU64::new(0)).tally;
+        let drain = service.drain();
+        let wall = started.elapsed();
+        let conserved = ledger_violations(args.requests, &tally, &drain.metrics, false).is_empty();
+        Self { tally, drain, wall, conserved }
+    }
+
+    fn throughput_hz(&self) -> f64 {
+        self.tally.outcomes() as f64 / self.wall.as_secs_f64().max(1e-9)
+    }
+}
+
 /// One full instrumented workload: a closed-loop service load run plus a
 /// short emulation replay of the same scenario's solution.
-fn run_workload(args: &Args) -> Result<(LoadgenReport, Duration), Box<dyn std::error::Error>> {
+fn run_workload(args: &Args) -> Result<(LoadRun, Duration), Box<dyn std::error::Error>> {
     let scenario = small_scenario(args.ues);
     let service_config = ServiceConfig {
         shards: args.shards,
         batch_window: Duration::from_micros(500),
         ..ServiceConfig::default()
     };
-    let cfg = LoadgenConfig {
-        requests: args.requests,
-        process: ArrivalProcess::Poisson { rate_hz: 20_000.0 },
-        seed: args.seed,
-        max_active: 64,
-        time_scale: 0.0,
-        ..LoadgenConfig::default()
-    };
     let start = Instant::now();
-    let report = loadgen::run(service_config, cfg, &scenario.instance);
+    let report = LoadRun::run(service_config, args, None, &scenario.instance);
 
     // A short emulation pass so the `emu.step` phase and event counters
     // appear alongside the solver/serve phases.
@@ -136,8 +166,9 @@ fn main() -> ExitCode {
     };
     let snapshot = offloadnn_telemetry::global().snapshot();
 
-    println!("=== instrumented run ===");
-    println!("{on_report}");
+    println!("=== instrumented run (seed {}) ===", args.seed);
+    println!("outcomes: {}", on_report.tally);
+    println!("{}", on_report.drain.metrics);
     println!();
     println!("=== per-phase telemetry (global registry) ===");
     print!("{snapshot}");
@@ -166,13 +197,10 @@ fn main() -> ExitCode {
         100.0 * (on_wall.as_secs_f64() - off_wall.as_secs_f64()) / off_wall.as_secs_f64().max(1e-9),
     );
     for (name, report) in [("on", &on_report), ("off", &off_report)] {
-        println!(
-            "conservation (telemetry {name}): {}",
-            if report.is_conserved() { "OK" } else { "VIOLATED" }
-        );
+        println!("conservation (telemetry {name}): {}", if report.conserved { "OK" } else { "VIOLATED" });
     }
 
-    if !on_report.is_conserved() || !off_report.is_conserved() {
+    if !on_report.conserved || !off_report.conserved {
         eprintln!("error: conservation violated — a request was lost or double-counted");
         return ExitCode::FAILURE;
     }
@@ -201,17 +229,9 @@ fn main() -> ExitCode {
         ..ServiceConfig::default()
     };
     let warm_config = ServiceConfig { plan_cache: Some(PlanCacheConfig::default()), ..cold_config };
-    let zipf = LoadgenConfig {
-        requests: args.requests,
-        process: ArrivalProcess::Poisson { rate_hz: 20_000.0 },
-        seed: args.seed,
-        max_active: 64,
-        shape_skew: 1.2,
-        shape_pool: 32,
-        ..LoadgenConfig::default()
-    };
-    let cold = loadgen::run(cold_config, zipf, &scenario.instance);
-    let warm = loadgen::run(warm_config, zipf, &scenario.instance);
+    let zipf = ShapePool::new(32, 1.2, scenario.instance.tasks.len(), args.seed);
+    let cold = LoadRun::run(cold_config, &args, Some(&zipf), &scenario.instance);
+    let warm = LoadRun::run(warm_config, &args, Some(&zipf), &scenario.instance);
     println!();
     println!("=== plan cache (same Zipf stream: skew 1.2, pool 32; cache off -> on) ===");
     let (cm, wm) = (&cold.drain.metrics, &warm.drain.metrics);
@@ -234,7 +254,7 @@ fn main() -> ExitCode {
         pc.negative_hits,
         pc.misses,
     );
-    if !cold.is_conserved() || !warm.is_conserved() {
+    if !cold.conserved || !warm.conserved {
         eprintln!("error: conservation violated in the plan-cache comparison");
         return ExitCode::FAILURE;
     }

@@ -96,7 +96,7 @@ enum Route {
 }
 
 /// Always-on federation counters, independent of telemetry gating, so
-/// harnesses and loadgens can assert overflow behaviour even in
+/// harnesses and the load generator can assert overflow behaviour even in
 /// telemetry-disabled builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ForwardStats {

@@ -30,6 +30,7 @@ fn drive_config() -> DriveConfig {
     DriveConfig {
         requests: REQUESTS,
         driver: 0,
+        first_id: 0,
         seed: SEED,
         window: 32,
         max_active: 16,

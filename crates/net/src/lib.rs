@@ -29,8 +29,9 @@
 //! * **Client** ([`client`]) — a pipelining client library with
 //!   per-request deadline propagation (the client's budget travels in
 //!   the frame; the server enforces the *tighter* of it and its own
-//!   admission deadline) and reconnect with capped exponential backoff,
-//!   plus the `net_loadgen` binary driving a loopback server.
+//!   admission deadline) and reconnect with capped exponential backoff.
+//!   `loadgen --tier net` (in `offloadnn-bench`) drives a loopback
+//!   server through it.
 //!
 //! Hot paths record through [`offloadnn_telemetry`]: `net.encode` /
 //! `net.decode` / `net.rtt` span histograms, per-frame-type `net.tx.*` /

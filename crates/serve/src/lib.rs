@@ -59,7 +59,7 @@ mod shard;
 pub use admit::{Admitter, PendingVerdict, VerdictError, VerdictHandle};
 pub use config::{ChaosConfig, ServiceConfig, ServiceConfigBuilder};
 pub use error::{ServeError, SubmitError};
-pub use loadgen::{LoadgenConfig, LoadgenReport, ShapePool};
+pub use loadgen::ShapePool;
 pub use metrics::{HistogramSnapshot, MetricsSnapshot, ServiceMetrics, HISTOGRAM_BUCKETS};
 pub use router::Router;
 pub use service::{DrainReport, Outcome, ReshardReport, Service, Ticket};

@@ -1,24 +1,18 @@
-//! The shared CLI surface and tier-agnostic driver loop of the three
-//! load-generator binaries (`serve_loadgen`, `net_loadgen`,
-//! `gateway_loadgen`).
+//! The tier-agnostic driver loop and verdict ledger behind the `loadgen`
+//! binary (`offloadnn-bench`), the cross-tier conservation tests and the
+//! `serve_throughput` bench.
 //!
-//! Before the unified admission API each binary carried its own copy of
-//! the flag parser, the verdict tally and the submit/reap/depart loop,
-//! welded to one tier's concrete types. This module is the
-//! consolidation: [`CommonArgs`] + [`parse`] own the flag surface every
-//! binary shares (each binary registers only its tier-specific extras),
-//! [`WireTally`] is the one driver-side verdict ledger, and [`drive`]
-//! is the one driver body — it speaks [`Admitter`] only, so the exact
-//! same loop exercises an in-process [`crate::Service`], a TCP
+//! [`drive`] is the one driver body: it speaks [`Admitter`] only, so the
+//! exact same loop exercises an in-process [`crate::Service`], a TCP
 //! `net::Client` or a cluster `Gateway` without knowing which it holds.
-//!
-//! Every binary also prints the same [`print_header`] line
-//! (`loadgen[tier=… frontend=… seed=…]`), so any run's tier, transport
-//! and seed are greppable from its first output line.
+//! [`WireTally`] is the one driver-side verdict ledger, and
+//! [`ledger_violations`] is the one check that a run's tally and the
+//! ledger it drove balance.
 
-use crate::admit::{Admitter, VerdictError};
+use crate::admit::{Admitter, PendingVerdict, VerdictError};
 use crate::error::SubmitError;
 use crate::loadgen::ShapePool;
+use crate::metrics::MetricsSnapshot;
 use crate::service::Outcome;
 use offloadnn_core::instance::PathOption;
 use offloadnn_core::task::{Task, TaskId};
@@ -29,158 +23,10 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// The flag surface shared by all three load-generator binaries. Each
-/// binary starts from its own defaults, hands the struct to [`parse`]
-/// with a closure for its tier-specific extras, and reads the result
-/// back out.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CommonArgs {
-    /// The transport serving the run (`threads` / `reactor` for the
-    /// wire tiers, `in-process` for `serve_loadgen`). Kept as a string
-    /// here — this crate cannot see `offloadnn_net::Frontend`; wire
-    /// binaries parse it after the fact.
-    pub frontend: String,
-    /// Total submits across all drivers.
-    pub requests: u64,
-    /// Concurrent driver loops (`1` for the in-process tier).
-    pub clients: usize,
-    /// Per-driver pipeline depth before the oldest pending verdict is
-    /// reaped.
-    pub window: usize,
-    /// Worker shards per backend service.
-    pub shards: usize,
-    /// UEs in the reference scenario.
-    pub ues: usize,
-    /// Caller-shipped admission budget in milliseconds (`0` = the
-    /// tier's policy deadline).
-    pub deadline_ms: u64,
-    /// Admitted tasks kept alive per driver before the oldest departs.
-    pub max_active: usize,
-    /// RNG seed (task mix).
-    pub seed: u64,
-    /// Zipf exponent of the task-shape mix (`0` = fresh jitter per
-    /// request, no pool).
-    pub shape_skew: f64,
-    /// Distinct shapes in the Zipf pool.
-    pub shape_pool: usize,
-}
-
-impl Default for CommonArgs {
-    fn default() -> Self {
-        Self {
-            frontend: "threads".into(),
-            requests: 10_000,
-            clients: 4,
-            window: 64,
-            shards: 2,
-            ues: 5,
-            deadline_ms: 0,
-            max_active: 64,
-            seed: 7,
-            shape_skew: 0.0,
-            shape_pool: 64,
-        }
-    }
-}
-
-impl CommonArgs {
-    /// Cross-flag validation shared by every binary.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message for the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.clients == 0 {
-            return Err("--clients must be >= 1".into());
-        }
-        if self.window == 0 {
-            return Err("--window must be >= 1".into());
-        }
-        if self.shape_pool == 0 {
-            return Err("--shape-pool must be >= 1".into());
-        }
-        Ok(())
-    }
-}
-
-/// Walks `std::env::args()`, filling `common` with the shared flags and
-/// delegating everything else to `extra`. `extra` is consulted *first*
-/// for every flag (so a binary can claim value-less switches like
-/// `--hedge`, pulling values from the iterator only when it needs
-/// them); returning `Ok(false)` passes the flag on to the common
-/// surface. `-h`/`--help` prints `usage` and exits.
-///
-/// # Errors
-///
-/// A human-readable message for a malformed or unknown flag, or
-/// whatever `extra` reports.
-pub fn parse<F>(usage: &str, common: &mut CommonArgs, mut extra: F) -> Result<(), String>
-where
-    F: FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
-{
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        if flag == "-h" || flag == "--help" {
-            print!("{usage}");
-            std::process::exit(0);
-        }
-        if extra(&flag, &mut it)? {
-            continue;
-        }
-        let value = it.next().ok_or_else(|| format!("{flag}: missing value"))?;
-        let bad = |e: &dyn fmt::Display| format!("{flag} {value}: {e}");
-        match flag.as_str() {
-            "--frontend" => common.frontend = value,
-            "--requests" => common.requests = value.parse().map_err(|e| bad(&e))?,
-            "--clients" => common.clients = value.parse().map_err(|e| bad(&e))?,
-            "--window" => common.window = value.parse().map_err(|e| bad(&e))?,
-            "--shards" => common.shards = value.parse().map_err(|e| bad(&e))?,
-            "--ues" => common.ues = value.parse().map_err(|e| bad(&e))?,
-            "--deadline-ms" => common.deadline_ms = value.parse().map_err(|e| bad(&e))?,
-            "--max-active" => common.max_active = value.parse().map_err(|e| bad(&e))?,
-            "--seed" => common.seed = value.parse().map_err(|e| bad(&e))?,
-            "--shape-skew" => common.shape_skew = value.parse().map_err(|e| bad(&e))?,
-            "--shape-pool" => common.shape_pool = value.parse().map_err(|e| bad(&e))?,
-            other => return Err(format!("unknown flag {other} (try --help)")),
-        }
-    }
-    common.validate()
-}
-
-/// Parses `"at:shards,at:shards"` into scale-script steps (shared by
-/// the serve and net binaries).
-///
-/// # Errors
-///
-/// A human-readable message for the first malformed step.
-pub fn parse_scale_script(value: &str) -> Result<Vec<(u64, u32)>, String> {
-    value
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(|step| {
-            let (at, shards) =
-                step.split_once(':').ok_or_else(|| format!("scale step {step:?}: expected at:shards"))?;
-            let at: u64 = at.trim().parse().map_err(|e| format!("scale step {step:?}: {e}"))?;
-            let shards: u32 = shards.trim().parse().map_err(|e| format!("scale step {step:?}: {e}"))?;
-            if shards == 0 {
-                return Err(format!("scale step {step:?}: target must be at least one shard"));
-            }
-            Ok((at, shards))
-        })
-        .collect()
-}
-
-/// The uniform first output line of every load generator: tier,
-/// transport and seed in one greppable prefix, then the binary's own
-/// topology detail.
-pub fn print_header(tier: &str, frontend: &str, seed: u64, detail: fmt::Arguments<'_>) {
-    println!("loadgen[tier={tier} frontend={frontend} seed={seed}] {detail}");
-}
-
 /// The driver-side verdict ledger, observed through [`Admitter`]
 /// pending verdicts — one tally shape for every tier, so the
 /// conservation arithmetic (`offered == outcomes + errors`) reads the
-/// same in every binary.
+/// same on every tier.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WireTally {
     /// Verdicts resolved `Admitted`.
@@ -255,9 +101,13 @@ impl fmt::Display for WireTally {
 pub struct DriveConfig {
     /// Submits this driver offers.
     pub requests: u64,
-    /// Driver index: decorrelates the RNG and keeps task-id spaces
-    /// disjoint across concurrent drivers (so departures stay routable).
+    /// Driver index: decorrelates the RNG across concurrent drivers.
     pub driver: usize,
+    /// The driver offers task ids `first_id..first_id + requests`.
+    /// Concurrent drivers given disjoint ranges never reuse an id, so
+    /// departures stay routable, no shard holds two tasks under one id,
+    /// and a seeded run routes every task the same way each time.
+    pub first_id: u32,
     /// Base RNG seed, shared across drivers.
     pub seed: u64,
     /// Pipeline depth before the oldest pending verdict is reaped.
@@ -276,27 +126,33 @@ pub struct DriveConfig {
     pub snapshot_every: u64,
 }
 
+impl DriveConfig {
+    /// Splits this config's `requests` across `drivers` concurrent
+    /// drivers: driver `d` gets index `d`, an even share (the first
+    /// `requests % drivers` one extra), and the task ids right after
+    /// those of the drivers before it, so no id repeats across the fleet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `drivers` is 0.
+    pub fn split(&self, drivers: usize) -> Vec<DriveConfig> {
+        let (per, extra) = (self.requests / drivers as u64, self.requests % drivers as u64);
+        let mut next_id = u64::from(self.first_id);
+        (0..drivers)
+            .map(|driver| {
+                let requests = per + u64::from((driver as u64) < extra);
+                let first_id = u32::try_from(next_id).expect("task id range passes u32::MAX");
+                next_id += requests;
+                DriveConfig { requests, driver, first_id, ..*self }
+            })
+            .collect()
+    }
+}
+
 /// How long a verdict may stay outstanding by default: generous, since
 /// a mid-run node kill legitimately parks a ticket for a full gateway
 /// deadline + grace while failover runs.
 pub const VERDICT_TIMEOUT: Duration = Duration::from_secs(30);
-
-impl DriveConfig {
-    /// A drive slice of `requests` submits for driver `driver`, taking
-    /// everything else from the parsed common flags.
-    pub fn from_common(common: &CommonArgs, driver: usize, requests: u64) -> Self {
-        Self {
-            requests,
-            driver,
-            seed: common.seed,
-            window: common.window,
-            max_active: common.max_active,
-            deadline: (common.deadline_ms > 0).then(|| Duration::from_millis(common.deadline_ms)),
-            verdict_timeout: VERDICT_TIMEOUT,
-            snapshot_every: 0,
-        }
-    }
-}
 
 /// What one [`drive`] loop observed.
 #[derive(Debug, Default, Clone, Copy)]
@@ -307,12 +163,7 @@ pub struct DriveReport {
     pub departed: u64,
 }
 
-fn settle(
-    pending: crate::admit::PendingVerdict,
-    timeout: Duration,
-    tally: &mut WireTally,
-    active: &mut VecDeque<TaskId>,
-) {
+fn settle(pending: PendingVerdict, timeout: Duration, tally: &mut WireTally, active: &mut VecDeque<TaskId>) {
     let task = pending.task();
     let verdict = pending.wait_timeout(timeout);
     if matches!(verdict, Ok(Outcome::Admitted { .. })) {
@@ -321,14 +172,21 @@ fn settle(
     tally.observe(&verdict);
 }
 
-/// The one driver body every binary and harness shares: offers
-/// `cfg.requests` synthetic submits derived from `protos` (optionally
-/// through the deterministic Zipf `shapes` pool) to *any* admission
-/// tier behind [`Admitter`], pipelines up to `cfg.window` pending
-/// verdicts, departs the oldest admission beyond `cfg.max_active`, and
-/// tallies every resolution. `offered` is bumped once per submit so
-/// concurrent chaos threads (node killers, scale controllers) can
-/// trigger on the global offered count.
+/// The one driver body every load run shares: offers `cfg.requests`
+/// synthetic submits derived from `protos` (optionally through the
+/// deterministic Zipf `shapes` pool) to *any* admission tier behind
+/// [`Admitter`], pipelines up to `cfg.window` pending verdicts, departs
+/// the oldest admission beyond `cfg.max_active`, and tallies every
+/// resolution.
+///
+/// `offered` is bumped once per submit so concurrent chaos threads
+/// (node killers, scale controllers) can trigger on the run-wide
+/// offered count.
+///
+/// # Panics
+///
+/// Panics if `cfg.first_id + cfg.requests` passes `u32::MAX` (task ids
+/// are 32-bit).
 pub fn drive(
     admitter: &dyn Admitter,
     cfg: &DriveConfig,
@@ -342,23 +200,24 @@ pub fn drive(
     let mut active: VecDeque<TaskId> = VecDeque::new();
 
     for i in 0..cfg.requests {
-        // With the Zipf pool active, popular shape ranks repeat
-        // bit-identically (the same jitter every draw) across every
-        // driver, so any plan cache downstream has something to hit.
-        let (proto, jitter) = match shapes {
-            Some(pool) => {
-                let (proto, priority, rate) = pool.draw(&mut rng);
-                (&protos[proto], Some((priority, rate)))
-            }
-            None => (&protos[rng.random_range(0..protos.len())], None),
+        // Every task is a jittered prototype: priority (so shedding has
+        // an order to respect) and rate. With the Zipf pool active the
+        // jitter comes from the materialized shape rank instead, so
+        // popular shapes repeat bit-identically across every driver and
+        // any plan cache downstream has something to hit.
+        let (proto, priority, rate) = match shapes {
+            Some(pool) => pool.draw(&mut rng),
+            None => (
+                rng.random_range(0..protos.len()),
+                rng.random_range(0.6f64..1.4),
+                rng.random_range(0.8f64..1.2),
+            ),
         };
+        let proto = &protos[proto];
         let mut task = proto.0.clone();
-        if let Some((priority, rate)) = jitter {
-            task.priority = (task.priority * priority).clamp(0.05, 1.0);
-            task.request_rate *= rate;
-        }
-        // Disjoint id spaces keep departures routable per driver.
-        task.id = TaskId(u32::try_from(cfg.driver as u64 * 100_000_000 + i).unwrap_or(u32::MAX));
+        task.priority = (task.priority * priority).clamp(0.05, 1.0);
+        task.request_rate *= rate;
+        task.id = TaskId(u32::try_from(u64::from(cfg.first_id) + i).expect("task id range passes u32::MAX"));
         match admitter.submit(task, proto.1.clone(), cfg.deadline) {
             Ok(p) => pending.push_back(p),
             Err(SubmitError::Unavailable) => report.tally.transport += 1,
@@ -386,21 +245,63 @@ pub fn drive(
     report
 }
 
+/// The one conservation check of a load run against the ledger it
+/// drove: every offered request ended in exactly one verdict or error,
+/// none was lost, the ledger itself conserves, and the verdicts the
+/// drivers observed match the ledger's counts class by class.
+///
+/// `wire` marks a tier behind a transport, where a refusal or a dead
+/// connection is a legitimate ending; in process every request must end
+/// in a verdict, so any error is a violation. A lost request is a bug on
+/// every tier. Returns one message per violation; empty means the run
+/// balances.
+pub fn ledger_violations(
+    offered: u64,
+    tally: &WireTally,
+    ledger: &MetricsSnapshot,
+    wire: bool,
+) -> Vec<String> {
+    let mut violations = Vec::new();
+    if tally.outcomes() + tally.errors() != offered {
+        violations.push(format!(
+            "offered {offered} != outcomes {} + errors {}",
+            tally.outcomes(),
+            tally.errors()
+        ));
+    }
+    if tally.lost > 0 {
+        violations.push(format!("{} request(s) lost without a verdict", tally.lost));
+    }
+    if !wire && tally.errors() > 0 {
+        violations.push(format!("{} request(s) ended in an error in process: {tally}", tally.errors()));
+    }
+    if !ledger.is_conserved() {
+        violations.push(format!(
+            "ledger conservation violated: submitted {} != resolved {}",
+            ledger.submitted,
+            ledger.resolved()
+        ));
+    }
+    for (class, seen, counted) in [
+        ("submitted", tally.outcomes(), ledger.submitted),
+        ("admitted", tally.admitted, ledger.admitted),
+        ("rejected", tally.rejected, ledger.rejected),
+        ("shed", tally.shed, ledger.shed),
+        ("expired", tally.expired, ledger.expired),
+    ] {
+        if seen != counted {
+            violations.push(format!("{class}: drivers saw {seen}, ledger counted {counted}"));
+        }
+    }
+    violations
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ServiceConfig;
     use crate::service::Service;
     use offloadnn_core::scenario::small_scenario;
-
-    #[test]
-    fn scale_script_parsing_accepts_steps_and_rejects_garbage() {
-        assert_eq!(parse_scale_script("100:8,250:2").unwrap(), vec![(100, 8), (250, 2)]);
-        assert_eq!(parse_scale_script("").unwrap(), vec![]);
-        assert!(parse_scale_script("100").is_err());
-        assert!(parse_scale_script("100:0").is_err());
-        assert!(parse_scale_script("x:2").is_err());
-    }
 
     #[test]
     fn tally_merge_and_conservation_arithmetic() {
@@ -425,6 +326,7 @@ mod tests {
         let cfg = DriveConfig {
             requests: 300,
             driver: 0,
+            first_id: 0,
             seed: 11,
             window: 32,
             max_active: 16,
@@ -434,11 +336,91 @@ mod tests {
         };
         let report = drive(&service, &cfg, &protos, None, &offered);
         assert_eq!(offered.load(Ordering::Relaxed), 300);
-        assert_eq!(report.tally.outcomes(), 300, "{:?}", report.tally);
         assert_eq!(report.tally.errors(), 0, "{:?}", report.tally);
         let drain = service.drain();
-        assert!(drain.metrics.is_conserved());
-        assert_eq!(drain.metrics.submitted, 300);
-        assert_eq!(drain.metrics.admitted, report.tally.admitted);
+        assert_eq!(ledger_violations(300, &report.tally, &drain.metrics, false), Vec::<String>::new());
+        assert!(drain.within_budgets());
+        assert!(report.tally.admitted > 0, "some capacity must be granted: {:?}", report.tally);
+    }
+
+    #[test]
+    fn ledger_check_names_each_imbalance() {
+        let mut ledger = crate::metrics::ServiceMetrics::new().snapshot();
+        (ledger.submitted, ledger.admitted, ledger.rejected) = (3, 2, 1);
+        let tally = WireTally { admitted: 2, rejected: 1, ..WireTally::default() };
+        assert!(ledger_violations(3, &tally, &ledger, false).is_empty());
+        let short = WireTally { admitted: 1, rejected: 1, transport: 1, ..WireTally::default() };
+        let v = ledger_violations(3, &short, &ledger, true);
+        assert!(v.iter().any(|m| m.starts_with("admitted: drivers saw 1")), "{v:?}");
+        assert!(v.iter().any(|m| m.starts_with("submitted")), "{v:?}");
+        assert_eq!(ledger_violations(4, &tally, &ledger, false).len(), 1);
+    }
+
+    #[test]
+    fn ledger_check_refuses_lost_requests_and_in_process_errors() {
+        let mut ledger = crate::metrics::ServiceMetrics::new().snapshot();
+        (ledger.submitted, ledger.admitted) = (2, 2);
+        let refused = WireTally { admitted: 2, refused: 1, ..WireTally::default() };
+        assert!(ledger_violations(3, &refused, &ledger, true).is_empty(), "a wire tier may refuse");
+        let v = ledger_violations(3, &refused, &ledger, false);
+        assert!(v.iter().any(|m| m.contains("ended in an error in process")), "{v:?}");
+        let lost = WireTally { admitted: 2, lost: 1, ..WireTally::default() };
+        let v = ledger_violations(3, &lost, &ledger, true);
+        assert!(v.iter().any(|m| m.contains("lost without a verdict")), "{v:?}");
+    }
+
+    /// Records every submitted task id and answers each with a refusal.
+    #[derive(Default)]
+    struct Recorder(std::sync::Mutex<Vec<TaskId>>);
+
+    impl Admitter for Recorder {
+        fn submit(
+            &self,
+            task: Task,
+            _options: Vec<PathOption>,
+            _deadline: Option<Duration>,
+        ) -> Result<PendingVerdict, SubmitError> {
+            self.0.lock().expect("recorder lock").push(task.id);
+            Err(SubmitError::Draining)
+        }
+        fn depart(&self, _task: TaskId) {}
+        fn metrics(&self) -> Option<MetricsSnapshot> {
+            None
+        }
+        fn begin_drain(&self) {}
+        fn tier(&self) -> &'static str {
+            "recorder"
+        }
+    }
+
+    #[test]
+    fn task_ids_never_repeat_across_drivers() {
+        let scenario = small_scenario(5);
+        let protos: Vec<_> =
+            scenario.instance.tasks.iter().cloned().zip(scenario.instance.options.iter().cloned()).collect();
+        let recorder = Recorder::default();
+        let offered = AtomicU64::new(0);
+        let fleet = DriveConfig {
+            requests: 44 * 50 + 7,
+            driver: 0,
+            first_id: 0,
+            seed: 7,
+            window: 4,
+            max_active: 0,
+            deadline: None,
+            verdict_timeout: VERDICT_TIMEOUT,
+            snapshot_every: 0,
+        }
+        .split(44);
+        assert_eq!(fleet.iter().map(|c| c.requests).sum::<u64>(), 44 * 50 + 7);
+        // Drivers 6 and 7 straddle the uneven share, 43 the old clamp.
+        for driver in [0, 6, 7, 43] {
+            drive(&recorder, &fleet[driver], &protos, None, &offered);
+        }
+        let mut ids = recorder.0.into_inner().expect("recorder lock");
+        assert_eq!(ids.len(), 51 + 51 + 50 + 50);
+        ids.sort_unstable_by_key(|id| id.0);
+        ids.dedup();
+        assert_eq!(ids.len(), 51 + 51 + 50 + 50, "a task id was reused across drivers");
     }
 }

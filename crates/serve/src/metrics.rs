@@ -15,54 +15,12 @@ use offloadnn_telemetry::{Counter, Gauge, Histogram, Registry};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
-pub use offloadnn_telemetry::HISTOGRAM_BUCKETS;
+pub use offloadnn_telemetry::{HistogramSnapshot, HISTOGRAM_BUCKETS};
 
 /// The service's latency histogram type (the shared telemetry
 /// implementation; kept under its historical name for call sites).
 pub type LatencyHistogram = Histogram;
-
-/// Point-in-time copy of a [`LatencyHistogram`], serde-serialisable for
-/// reports. Convertible from the telemetry snapshot it mirrors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HistogramSnapshot {
-    /// Per-bucket counts; bucket 0 is sub-microsecond, bucket `i >= 1`
-    /// covers `[2^(i-1) µs, 2^i µs)`, the last bucket is the overflow.
-    pub buckets: [u64; HISTOGRAM_BUCKETS],
-    /// Total observations.
-    pub count: u64,
-    /// Saturating sum of all observations in microseconds.
-    pub sum_us: u64,
-}
-
-impl From<offloadnn_telemetry::HistogramSnapshot> for HistogramSnapshot {
-    fn from(s: offloadnn_telemetry::HistogramSnapshot) -> Self {
-        Self { buckets: s.buckets, count: s.count, sum_us: s.sum_us }
-    }
-}
-
-impl HistogramSnapshot {
-    fn as_telemetry(&self) -> offloadnn_telemetry::HistogramSnapshot {
-        offloadnn_telemetry::HistogramSnapshot {
-            buckets: self.buckets,
-            count: self.count,
-            sum_us: self.sum_us,
-        }
-    }
-
-    /// Mean observation, or zero when empty.
-    pub fn mean(&self) -> Duration {
-        self.as_telemetry().mean()
-    }
-
-    /// Upper bound of the bucket containing the `p`-quantile
-    /// (`0 < p <= 1`), or zero when empty. Log-bucket resolution: the
-    /// estimate is within 2x of the true quantile.
-    pub fn quantile(&self, p: f64) -> Duration {
-        self.as_telemetry().quantile(p)
-    }
-}
 
 /// Verdict counters, gauges and histograms of a running service.
 ///
@@ -158,8 +116,8 @@ impl ServiceMetrics {
             generation: self.generation.get(),
             peak_queue_depth: self.peak_queue_depth.get(),
             peak_batch: self.peak_batch.get(),
-            latency: self.latency.snapshot().into(),
-            round_time: self.round_time.snapshot().into(),
+            latency: self.latency.snapshot(),
+            round_time: self.round_time.snapshot(),
         }
     }
 }
@@ -256,6 +214,7 @@ impl fmt::Display for MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn histogram_buckets_are_log_spaced() {
@@ -265,7 +224,7 @@ mod tests {
         h.record(Duration::from_micros(3)); // bucket 2
         h.record(Duration::from_micros(1000)); // bucket 10
         h.record(Duration::from_secs(100)); // overflow bucket
-        let s: HistogramSnapshot = h.snapshot().into();
+        let s = h.snapshot();
         assert_eq!(s.count, 5);
         assert_eq!(s.buckets[0], 1);
         assert_eq!(s.buckets[1], 1);
@@ -283,7 +242,7 @@ mod tests {
         h.record(Duration::ZERO);
         h.record_us(u64::MAX);
         h.record(Duration::MAX);
-        let s: HistogramSnapshot = h.snapshot().into();
+        let s = h.snapshot();
         assert_eq!(s.count, 3);
         assert_eq!(s.buckets[0], 1);
         assert_eq!(s.buckets[HISTOGRAM_BUCKETS - 1], 2);
@@ -296,7 +255,7 @@ mod tests {
         for us in [10u64, 20, 30, 40, 50, 60, 70, 80, 90, 1000] {
             h.record(Duration::from_micros(us));
         }
-        let s: HistogramSnapshot = h.snapshot().into();
+        let s = h.snapshot();
         assert!(s.quantile(0.5) >= Duration::from_micros(32));
         assert!(s.quantile(0.5) <= Duration::from_micros(128));
         assert!(s.quantile(1.0) >= Duration::from_micros(1000));

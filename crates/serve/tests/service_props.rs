@@ -14,9 +14,10 @@
 
 use offloadnn_core::instance::Budgets;
 use offloadnn_core::scenario::small_scenario;
-use offloadnn_radio::ArrivalProcess;
-use offloadnn_serve::{loadgen, LoadgenConfig, LoadgenReport, ServiceConfig};
+use offloadnn_serve::loadgen::args::{drive, ledger_violations, DriveConfig, WireTally, VERDICT_TIMEOUT};
+use offloadnn_serve::{DrainReport, Service, ServiceConfig};
 use proptest::prelude::*;
+use std::sync::atomic::AtomicU64;
 use std::time::Duration;
 
 /// Drawn service + load shape for one randomized closed loop over the
@@ -34,7 +35,15 @@ struct Shape {
     seed: u64,
 }
 
-fn run_randomized(shape: Shape) -> LoadgenReport {
+/// One closed loop through the shared driver: the driver-side tally,
+/// the drained service's report and the ledger check between them.
+struct Run {
+    tally: WireTally,
+    drain: DrainReport,
+    violations: Vec<String>,
+}
+
+fn run_randomized(shape: Shape) -> Run {
     let service_config = ServiceConfig {
         shards: shape.shards,
         queue_capacity: shape.queue_capacity,
@@ -46,16 +55,25 @@ fn run_randomized(shape: Shape) -> LoadgenReport {
         chaos: Default::default(),
         plan_cache: None,
     };
-    let cfg = LoadgenConfig {
-        requests: shape.requests,
-        process: ArrivalProcess::Poisson { rate_hz: 50_000.0 },
-        seed: shape.seed,
-        max_active: shape.max_active,
-        time_scale: 0.0,
-        ..LoadgenConfig::default()
-    };
     let scenario = small_scenario(5);
-    loadgen::run(service_config, cfg, &scenario.instance)
+    let service = Service::start(service_config, &scenario.instance).expect("service start");
+    let protos: Vec<_> =
+        scenario.instance.tasks.iter().cloned().zip(scenario.instance.options.iter().cloned()).collect();
+    let cfg = DriveConfig {
+        requests: shape.requests,
+        driver: 0,
+        first_id: 0,
+        seed: shape.seed,
+        window: 64,
+        max_active: shape.max_active,
+        deadline: None,
+        verdict_timeout: VERDICT_TIMEOUT,
+        snapshot_every: 0,
+    };
+    let tally = drive(&service, &cfg, &protos, None, &AtomicU64::new(0)).tally;
+    let drain = service.drain();
+    let violations = ledger_violations(shape.requests, &tally, &drain.metrics, false);
+    Run { tally, drain, violations }
 }
 
 proptest! {
@@ -83,7 +101,7 @@ proptest! {
         });
         prop_assert_eq!(report.tally.errors(), 0);
         prop_assert_eq!(report.tally.outcomes(), requests);
-        prop_assert!(report.is_conserved(), "conservation violated:\n{}", report);
+        prop_assert!(report.violations.is_empty(), "conservation violated: {:?}", report.violations);
     }
 
     /// Partition isolation: every shard's peak RB / compute / memory
@@ -123,6 +141,6 @@ proptest! {
         prop_assert!((sum.rbs - total.rbs).abs() < 1e-6 * total.rbs);
         prop_assert!((sum.compute_seconds - total.compute_seconds).abs() < 1e-6 * total.compute_seconds);
         prop_assert!((sum.memory_bytes - total.memory_bytes).abs() < 1e-6 * total.memory_bytes);
-        prop_assert!(report.is_conserved(), "conservation violated:\n{}", report);
+        prop_assert!(report.violations.is_empty(), "conservation violated: {:?}", report.violations);
     }
 }
